@@ -41,7 +41,6 @@ from .errors import (
     NotResonant,
     OutOfDomain,
     OutOfRangeAngle,
-    PoleInWindow,
     UnknownConfigKey,
     ValidationError,
 )

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -431,7 +432,11 @@ def _run_boundaries(cfg: RunConfig):
             except NmgeoError as exc:
                 row["tangency_error"] = str(exc)
         rows.append(row)
-    return rows, {"join_point": {"gamma_w": GREEN_BLUE_JOIN, "kappa": 3.0 * math.sqrt(3.0) / 16.0}}
+    extras = {
+        "join_point": {"gamma_w": GREEN_BLUE_JOIN, "kappa": 3.0 * math.sqrt(3.0) / 16.0},
+        "tangency_errors": {r["gamma_w"]: r["tangency_error"] for r in rows if "tangency_error" in r},
+    }
+    return rows, extras
 
 
 def _write_boundaries(rows, cfg: RunConfig):
@@ -565,13 +570,16 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"nmgeo: configuration error: {exc}", file=sys.stderr)
         return 2
-    except NmgeoError as exc:
-        wall = time.perf_counter() - t0
-        _write_manifest_file(cfg, _manifest(cfg, "error", wall, extras, str(exc)))
-        print(f"nmgeo: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"nmgeo: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # NmgeoError, or any failure the handlers did not foresee
+        wall = time.perf_counter() - t0
+        extras = {**extras, "error_type": type(exc).__name__}
+        _write_manifest_file(cfg, _manifest(cfg, "error", wall, extras, str(exc)))
+        if not isinstance(exc, NmgeoError):
+            traceback.print_exc()
+        print(f"nmgeo: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
     _write_manifest_file(cfg, _manifest(cfg, "ok", wall, extras, None))
@@ -599,3 +607,7 @@ def _json_default(obj):
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

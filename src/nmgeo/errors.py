@@ -33,10 +33,6 @@ class IntegrationFailure(NmgeoError):
     """An ODE integration did not reach the end of the requested interval."""
 
 
-class PoleInWindow(NmgeoError):
-    """The requested time window contains a zero of g (pole of F_z)."""
-
-
 class OutOfDomain(NmgeoError):
     """Argument outside the validity domain of an analytic boundary curve."""
 

@@ -1,6 +1,6 @@
 """Linear quantum-state-diffusion trajectories with the two colored noises.
 
-Each trajectory integrates the linear stochastic equation
+A trajectory solves the linear stochastic equation
 
     d psi / dt = [ -i H_s + kappa sigma^- z*_t - kappa F_z sigma^+ sigma^-
                    - i w*_t F_z sigma^- - i z*_t F_w sigma^- ] psi,
@@ -11,6 +11,21 @@ with covariance M[w_t conj(w_s)] = (gamma_w Gamma_w / 2)
 exp(-gamma_w |t-s| - i Omega_w (t-s)); the equation consumes w*_t = conj(w_t).
 The unnormalized ensemble mean M[psi psi^dagger] reproduces the reduced
 density operator.
+
+The equation is solved in closed form (written here for a grid starting
+at t = 0; a grid starting at t0 propagates psi0 from t0).  The excited
+amplitude does not see the noise, c_e(t) = c_e0 e^{-i omega t/2} g(t).  The
+weights c_e F_z = -c_e0 e^{-i omega t/2} g'/kappa and c_e F_w have no poles,
+and at resonance the kappa z*_t g terms cancel, so
+
+    c_g(t) = e^{i omega t/2} [ c_g0 - c_e0 zeta g'(t)/kappa
+                               + (i c_e0/kappa) int_0^t e^{-i omega s} w*_s g'(s) ds ]
+
+with zeta = e^{-i omega t} z*_t = -i conj(z) constant and g'(0) = 0.  The
+w integral is the one quadrature: a cumulative trapezoid over the grid
+samples.  Trajectories therefore pass through the zeros of g, where F_z
+has poles, as smoothly as the state does.  For kappa = 0 both noise terms
+vanish.
 
 Reproducibility: trajectory i draws from default_rng([base_seed, i]), and
 ensemble reduction runs over fixed-size chunks in index order, so results
@@ -25,12 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleInWindow, ValidationError
-from .gfunction import GSolution, find_g_roots, solve_g
+from .errors import ValidationError
+from .gfunction import GSolution, solve_g
 from .model import GridSpec, ModelParams, PureState2, TimeSeries, validate_params
 from .phasediagram import resolve_workers
 
-CHUNK = 256  # fixed reduction granularity; must not depend on worker count
+CHUNK = 128  # fixed reduction granularity; must not depend on worker count
 
 
 @dataclass(frozen=True)
@@ -66,35 +81,36 @@ def _check_grid(p: ModelParams, grid: GridSpec):
         )
 
 
-def _noise_chunk(p: ModelParams, grid: GridSpec, base_seed: int, indices) -> tuple:
-    """(z_star, w_star) arrays of shape (m, n+1) for the given trajectory indices.
+def _draw(p: ModelParams, grid: GridSpec, base_seed: int, indices) -> tuple:
+    """(zeta, w): zeta = -i conj(z) of shape (m,) and w_t of shape (m, n+1).
 
     Draw order per trajectory is fixed (z, then w_0, then the n OU
     increments), so a trajectory's noises do not depend on chunking.
     """
     n = grid.n_steps
-    dt = grid.dt
     m = len(indices)
     z = np.empty(m, dtype=complex)
-    w0 = np.empty(m, dtype=complex)
-    xi = np.empty((m, n), dtype=complex)
+    w = np.empty((m, n + 1), dtype=complex)
     var_st = 0.5 * p.gamma_w * p.Gamma_w
-    sig_step = math.sqrt(var_st * (1.0 - math.exp(-2.0 * p.gamma_w * dt)))
+    sig_step = math.sqrt(var_st * (1.0 - math.exp(-2.0 * p.gamma_w * grid.dt)))
     for row, idx in enumerate(indices):
         rng = np.random.default_rng([base_seed, idx])
         a = rng.standard_normal(2)
         z[row] = (a[0] + 1j * a[1]) / math.sqrt(2.0)
         b = rng.standard_normal(2)
-        w0[row] = math.sqrt(var_st) * (b[0] + 1j * b[1]) / math.sqrt(2.0)
+        w[row, 0] = math.sqrt(var_st) * (b[0] + 1j * b[1]) / math.sqrt(2.0)
         c = rng.standard_normal((n, 2))
-        xi[row] = sig_step * (c[:, 0] + 1j * c[:, 1]) / math.sqrt(2.0)
-    ts = grid.times()
-    z_star = -1j * np.conj(z)[:, None] * np.exp(1j * p.omega_c * ts)[None, :]
-    w = np.empty((m, n + 1), dtype=complex)
-    w[:, 0] = w0
-    decay = np.exp(-(p.gamma_w + 1j * p.Omega_w) * dt)
-    for k in range(n):
-        w[:, k + 1] = w[:, k] * decay + xi[:, k]
+        w[row, 1:] = sig_step * (c[:, 0] + 1j * c[:, 1]) / math.sqrt(2.0)
+    decay = np.exp(-(p.gamma_w + 1j * p.Omega_w) * grid.dt)
+    for k in range(n):  # exact OU update: w_{k+1} = w_k decay + increment
+        w[:, k + 1] += w[:, k] * decay
+    return -1j * np.conj(z), w
+
+
+def _noise_chunk(p: ModelParams, grid: GridSpec, base_seed: int, indices) -> tuple:
+    """(z_star, w_star) arrays of shape (m, n+1) for the given trajectory indices."""
+    zeta, w = _draw(p, grid, base_seed, indices)
+    z_star = zeta[:, None] * np.exp(1j * p.omega_c * grid.times())[None, :]
     return z_star, np.conj(w)
 
 
@@ -108,61 +124,37 @@ def sample_noises(
     return NoiseRealization(z_star[0], w_star[0], base_seed, traj_index)
 
 
-def _stage_coefficients(p: ModelParams, grid: GridSpec, gsol: GSolution | None):
-    """F_z and F_w at the grid times and at the step midpoints.
+def _closed_form(p: ModelParams, grid: GridSpec, gsol: GSolution | None, psi0: PureState2):
+    """c_e on the grid, and the map from noise rows to c_g.
 
-    F_z = -g'/(kappa g) and F_w = -i (g'' + kappa^2 g) / (kappa g); for
-    kappa = 0 both vanish identically.
+    ground(z0, w_star) takes z*_t at the first grid time, shape (m,), and
+    the w*_t samples, shape (m, n+1), which it overwrites; it returns c_g
+    of shape (m, n+1).  g is evaluated here, once, so ground can run on
+    several threads.
     """
+    ce0, cg0 = psi0.c_e, psi0.c_g
     ts = grid.times()
-    mids = ts[:-1] + 0.5 * grid.dt
+    half = np.exp(-0.5j * p.omega * (ts - grid.t0))
+    back = np.conj(half)
     if p.kappa == 0.0:
-        zk = np.zeros(ts.size, dtype=complex)
-        zh = np.zeros(mids.size, dtype=complex)
-        return zk, zh, zk.copy(), zh.copy()
-    sol = gsol if gsol is not None else solve_g(p)
+        return ce0 * half, lambda z0, w_star: np.broadcast_to(cg0 * back, w_star.shape)
+    g, gp, _ = (gsol if gsol is not None else solve_g(p)).eval(ts)
+    q = ce0 * gp / (p.kappa * g[0])  # c_e F_z = -q e^{-i omega (t - t0)/2}
+    dq = q - q[0]
+    v = half**2 * q
 
-    def coeffs(tt):
-        g, gp, gpp = sol.eval(tt)
-        fz = -gp / (p.kappa * g)
-        fw = -1j * (gpp + p.kappa**2 * g) / (p.kappa * g)
-        return fz.astype(complex), fw
-    fz_k, fw_k = coeffs(ts)
-    fz_h, fw_h = coeffs(mids)
-    return fz_k, fz_h, fw_k, fw_h
+    def ground(z0, w_star):
+        w_star *= v
+        cg = np.zeros_like(w_star)
+        np.add(w_star[:, 1:], w_star[:, :-1], out=cg[:, 1:])
+        np.cumsum(cg[:, 1:], axis=1, out=cg[:, 1:])  # trapezoid sums of the w integral
+        cg *= 0.5j * grid.dt
+        cg -= np.multiply(z0[:, None], dq, out=w_star)
+        cg += cg0
+        cg *= back
+        return cg
 
-
-def _rk4_evolve(p, grid, states0, z_star, w_star, stage, on_step=None) -> np.ndarray:
-    """Vectorized per-step RK4 over (m, 2) states; noises held per step.
-
-    on_step(k, states) is invoked after every step (and once at k = 0) so
-    callers can accumulate without storing all trajectories.
-    """
-    fz_k, fz_h, fw_k, fw_h = stage
-    dt = grid.dt
-    hw = 0.5 * p.omega
-    kap = p.kappa
-    S = np.array(states0, dtype=complex)
-    if on_step is not None:
-        on_step(0, S)
-
-    def rhs(S, fz, fw, zst, wst):
-        ce, cg = S[:, 0], S[:, 1]
-        dce = (-1j * hw - kap * fz) * ce
-        dcg = 1j * hw * cg + (kap * zst - 1j * wst * fz - 1j * zst * fw) * ce
-        return np.stack([dce, dcg], axis=1)
-
-    for k in range(grid.n_steps):
-        zst = z_star[:, k]
-        wst = w_star[:, k]
-        k1 = rhs(S, fz_k[k], fw_k[k], zst, wst)
-        k2 = rhs(S + 0.5 * dt * k1, fz_h[k], fw_h[k], zst, wst)
-        k3 = rhs(S + 0.5 * dt * k2, fz_h[k], fw_h[k], zst, wst)
-        k4 = rhs(S + dt * k3, fz_k[k + 1], fw_k[k + 1], zst, wst)
-        S = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if on_step is not None:
-            on_step(k + 1, S)
-    return S
+    return ce0 * half * (g / g[0]), ground
 
 
 def evolve_trajectory(
@@ -173,41 +165,16 @@ def evolve_trajectory(
     *,
     gsol: GSolution | None = None,
 ) -> TrajectoryState:
-    """Integrate one unnormalized trajectory on the grid.
+    """One unnormalized trajectory on the grid, in closed form.
 
-    The window must not contain a zero of g (F_z pole).
+    z*_t enters only through its value at the first grid time, since
+    e^{-i omega t} z*_t is constant for the noise sample_noises draws.
     """
     validate_params(p)
     _check_grid(p, grid)
-    _check_no_pole(p, grid, gsol)
-    stage = _stage_coefficients(p, grid, gsol)
-    hist = np.empty((grid.n_steps + 1, 2), dtype=complex)
-
-    def record(k, S):
-        hist[k] = S[0]
-
-    _rk4_evolve(
-        p,
-        grid,
-        psi0.amplitudes()[None, :],
-        noises.z_star[None, :],
-        noises.w_star[None, :],
-        stage,
-        on_step=record,
-    )
-    return TrajectoryState(hist)
-
-
-def _check_no_pole(p: ModelParams, grid: GridSpec, gsol: GSolution | None):
-    if p.kappa == 0.0:
-        return
-    sol = gsol if gsol is not None else solve_g(p)
-    roots = find_g_roots(sol, grid.t_end)
-    if roots:
-        raise PoleInWindow(
-            f"g vanishes at t = {roots[0]:.6f} inside [0, {grid.t_end}]; "
-            "F_z has a pole there"
-        )
+    ce, ground = _closed_form(p, grid, gsol, psi0)
+    cg = ground(noises.z_star[:1], np.array(noises.w_star, dtype=complex, ndmin=2))
+    return TrajectoryState(np.column_stack([ce, cg[0]]))
 
 
 @dataclass(frozen=True)
@@ -239,37 +206,24 @@ def ensemble_density(
 
     Bitwise deterministic for fixed (base_seed, n_traj, grid): per-chunk
     partial sums (fixed chunk size) are reduced in chunk order regardless
-    of how many workers ran them.
+    of how many workers ran them.  c_e is the same for every trajectory,
+    so its channel has zero standard error and only sums of c_g, |c_g|^2
+    and |c_g|^4 are reduced.
     """
     validate_params(p)
     if n_traj < 100:
         raise ValidationError(f"n_traj must be >= 100, got {n_traj}")
     _check_grid(p, grid)
-    gsol = solve_g(p) if p.kappa > 0.0 else None
-    _check_no_pole(p, grid, gsol)
-    stage = _stage_coefficients(p, grid, gsol)
-    psi0 = PureState2.from_bloch_angle(theta).amplitudes()
-    n = grid.n_steps
+    ce, ground = _closed_form(p, grid, None, PureState2.from_bloch_angle(theta))
+    z_phase = np.exp(1j * p.omega_c * grid.t0)
 
     def run_chunk(chunk_index: int):
         lo = chunk_index * CHUNK
-        hi = min(lo + CHUNK, n_traj)
-        idx = range(lo, hi)
-        z_star, w_star = _noise_chunk(p, grid, base_seed, idx)
-        m = hi - lo
-        sum_rho = np.zeros((n + 1, 2, 2), dtype=complex)
-        sum_sq = np.zeros((n + 1, 2, 2))
-
-        def accumulate(k, S):
-            sum_rho[k] += np.einsum("mi,mj->ij", S, np.conj(S))
-            a2 = np.abs(S) ** 2
-            sum_sq[k] += np.einsum("mi,mj->ij", a2, a2)
-
-        S_end = _rk4_evolve(
-            p, grid, np.tile(psi0, (m, 1)), z_star, w_star, stage, on_step=accumulate
-        )
-        norms = np.sum(np.abs(S_end) ** 2, axis=1)
-        return sum_rho, sum_sq, float(np.sum(norms)), float(np.sum(norms**2)), m
+        zeta, w = _draw(p, grid, base_seed, range(lo, min(lo + CHUNK, n_traj)))
+        cg = ground(zeta * z_phase, np.conj(w, out=w))
+        a2 = np.abs(cg)
+        a2 *= a2
+        return cg.sum(axis=0), a2.sum(axis=0), np.einsum("mk,mk->k", a2, a2)
 
     n_chunks = (n_traj + CHUNK - 1) // CHUNK
     n_workers = resolve_workers(workers)
@@ -279,37 +233,31 @@ def ensemble_density(
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(run_chunk, range(n_chunks)))
 
-    sum_rho = np.zeros((n + 1, 2, 2), dtype=complex)
-    sum_sq = np.zeros((n + 1, 2, 2))
-    norm_sum = 0.0
-    norm_sumsq = 0.0
-    for rho_c, sq_c, ns, nss, _ in parts:  # chunk order fixed by map
-        sum_rho += rho_c
-        sum_sq += sq_c
-        norm_sum += ns
-        norm_sumsq += nss
+    s1, s2, s4 = (sum(col) for col in zip(*parts))  # chunk order fixed by map
 
-    mean = sum_rho / n_traj
-    var = np.maximum(sum_sq / n_traj - np.abs(mean) ** 2, 0.0)
-    stderr = np.sqrt(var / n_traj)
+    mean_cg = s1 / n_traj
+    rho_ee = np.abs(ce) ** 2
+    rho_gg = s2 / n_traj
+    rho_eg = ce * np.conj(mean_cg)
+    var_gg = np.maximum(s4 / n_traj - rho_gg**2, 0.0)
+    var_eg = rho_ee * np.maximum(rho_gg - np.abs(mean_cg) ** 2, 0.0)
+    stderr_gg = np.sqrt(var_gg / n_traj)
     series = TimeSeries(
         grid,
         {
-            "rho_ee": mean[:, 0, 0].real,
-            "rho_eg": mean[:, 0, 1],
-            "rho_ge": mean[:, 1, 0],
-            "rho_gg": mean[:, 1, 1].real,
-            "stderr_ee": stderr[:, 0, 0],
-            "stderr_eg": stderr[:, 0, 1],
-            "stderr_gg": stderr[:, 1, 1],
+            "rho_ee": rho_ee,
+            "rho_eg": rho_eg,
+            "rho_ge": np.conj(rho_eg),
+            "rho_gg": rho_gg,
+            "stderr_ee": np.zeros_like(rho_ee),
+            "stderr_eg": np.sqrt(var_eg / n_traj),
+            "stderr_gg": stderr_gg,
         },
     )
-    mean_norm = norm_sum / n_traj
-    var_norm = max(norm_sumsq / n_traj - mean_norm**2, 0.0)
     return EnsembleResult(
         series=series,
         n_traj=n_traj,
         base_seed=base_seed,
-        mean_final_norm_sq=mean_norm,
-        stderr_final_norm_sq=math.sqrt(var_norm / n_traj),
+        mean_final_norm_sq=float(rho_ee[-1] + rho_gg[-1]),
+        stderr_final_norm_sq=float(stderr_gg[-1]),
     )

@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nmgeo import GridSpec, TimeSeries
+import nmgeo
+from nmgeo import GridSpec, TimeSeries, cli
 from nmgeo.cli import (
     SERIES_COLUMNS,
     load_config,
@@ -208,6 +213,35 @@ def test_computation_error_exits_1_and_writes_manifest(tmp_path):
     assert "gamma_w" in manifest["error"]
 
 
+def test_unexpected_error_exits_1_and_writes_manifest(tmp_path, monkeypatch, capsys):
+    def broken(cfg):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setitem(cli._HANDLERS, "gfun", broken)
+    out = tmp_path / "g.csv"
+    code = run(["gfun", "--t-max", "5", "--dt", "0.1", "--out", str(out)])
+    assert code == 1
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error_type"] == "LinAlgError"
+    assert manifest["error"] == "singular matrix"
+    assert "LinAlgError: singular matrix" in capsys.readouterr().err
+
+
+def test_python_m_nmgeo_runs_cli(tmp_path):
+    src = str(Path(nmgeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nmgeo", "gfun", "--gamma-w", "0.9", "--kappa", "0.43",
+         "--t-max", "1", "--dt", "0.1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(_read_csv(out)) == 12  # header + 11 rows
+    assert json.loads((tmp_path / "x.csv.manifest.json").read_text())["status"] == "ok"
+
+
 def test_byte_identical_reruns(tmp_path):
     args = [
         "gfun", "--gamma-w", "0.9", "--kappa", "0.43",
@@ -258,6 +292,19 @@ def test_boundaries_csv(tmp_path):
     assert row16[1] != "" and row16[2] == "" and row16[3] != ""
     row20 = rows[3]
     assert row20[1] != "" and row20[2] != "" and row20[3] == ""
+    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+    assert manifest["tangency_errors"] == {}
+
+
+def test_boundaries_manifest_keeps_tangency_error(tmp_path):
+    out = tmp_path / "b.csv"
+    assert run(["boundaries", "--gamma-w-range", "0.05:0.1:0.05", "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert rows[1][3] == "" and rows[2][3] != ""
+    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+    assert manifest["tangency_errors"] == {
+        "0.05": "first lobe already positive at the lower kappa bracket"
+    }
 
 
 def test_markov_limit_manifest_roots(tmp_path):
