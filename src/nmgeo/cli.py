@@ -14,6 +14,7 @@ import math
 import sys
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,7 +175,7 @@ _KNOWN_KEYS = {
     "dynamics": _COMMON_KEYS | {"theta"},
     "nonmarkov": set(_COMMON_KEYS),
     "qfi": _COMMON_KEYS | {"theta", "convention"},
-    "sweep": _COMMON_KEYS | {"gamma_w_range", "kappa_range", "workers"},
+    "sweep": _COMMON_KEYS | {"gamma_w_range", "kappa_range"},
     "boundaries": _COMMON_KEYS | {"gamma_w_range"},
     "markov-limit": set(_COMMON_KEYS),
     "qsd": _COMMON_KEYS | {"theta", "n_traj", "seed", "workers"},
@@ -289,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="start:stop:step")
     sweep_p.add_argument("--kappa-range", dest="kappa_range", default=None,
                          help="start:stop:step")
-    sweep_p.add_argument("--workers", type=int, default=None)
     bnd_p = sub.add_parser("boundaries", help="analytic boundary curves")
     common(bnd_p)
     bnd_p.add_argument("--gamma-w-range", dest="gamma_w_range", default=None,
@@ -405,14 +405,11 @@ def _run_qfi(cfg: RunConfig):
 def _run_sweep(cfg: RunConfig):
     gammas = _parse_range(cfg.gamma_w_range, "--gamma-w-range")
     kappas = _parse_range(cfg.kappa_range, "--kappa-range")
-    cells = sweep(gammas, kappas, cfg.t_max, dt=cfg.dt, workers=cfg.workers)
-    counts: dict = {}
-    for c in cells:
-        counts[c.region] = counts.get(c.region, 0) + 1
+    cells = sweep(gammas, kappas, cfg.t_max, dt=cfg.dt)
     extras = {
         "n_gamma": len(gammas),
         "n_kappa": len(kappas),
-        "region_counts": counts,
+        "region_counts": dict(Counter(c.region for c in cells)),
     }
     return cells, extras
 
@@ -463,14 +460,10 @@ def _run_markov_limit(cfg: RunConfig):
     extras: dict = {"root_times": []}
     if cfg.Gamma_w == 1.0 and cfg.kappa > 0.25:
         delta = cfg.kappa - 0.25
-        times = []
-        n = 1
-        while True:
-            times = markov_root_times(delta, n)
-            if times[-1] > cfg.t_max or n > 10_000:
-                break
-            n += 1
-        extras["root_times"] = [t for t in times if t <= cfg.t_max]
+        # two roots per period of the oscillation, so n covers every root <= t_max
+        period = 2.0 * math.sqrt(2.0) * math.pi / math.sqrt(delta * (2.0 * delta + 1.0))
+        n = min(2 * math.floor(cfg.t_max / period) + 3, 10_001)
+        extras["root_times"] = [t for t in markov_root_times(delta, n) if t <= cfg.t_max]
     return series, extras
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure, ValidationError
-from .gfunction import GSolution, find_g_roots, solve_g
+from .gfunction import GSolution, _bisect, _sign_brackets, find_g_roots, solve_g
 from .model import DensityMatrix2, GridSpec, ModelParams, TimeSeries, validate_params
 
 FROM_G = "from-g"
@@ -289,13 +289,8 @@ def _backflow_windows(sol: GSolution, t_max: float) -> list:
     bounds += find_g_roots(sol, t_max)
     step = sol.scan_step()
     ts = np.linspace(0.0, t_max, int(math.ceil(t_max / step)) + 1)
-    gp = sol.eval(ts)[1]
-    sign = np.sign(gp)
-    from .gfunction import _bisect_root
-
-    f = lambda t: float(sol.eval(t)[1][0])
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        bounds.append(_bisect_root(f, ts[i], ts[i + 1]))
+    _, flips = _sign_brackets(sol, ts, 1)
+    bounds += _bisect(sol, 1, ts[flips], ts[flips + 1]).tolist()
     bounds.append(t_max)
     bounds = sorted(bounds)
     windows = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -128,7 +129,12 @@ class GSolution:
     _dense_t_end: float = field(default=0.0, repr=False)
 
     def eval(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(g, g', g'') at times t; accepts scalars or arrays, returns arrays."""
+        """(g, g', g'') at times t (scalar or array), as arrays shaped like t.
+
+        Root-sum values at a 1-d t come from one matrix-vector product; at a
+        column t[:, None] from one dot product per time, bitwise equal to a
+        single-time call (the two BLAS kernels round differently).
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.method == MARKOV:
             g = g_markov_limit(self.params.Gamma_w, self.params.kappa, t)
@@ -136,20 +142,25 @@ class GSolution:
             gpp = self._markov_second_deriv(t)
             return g, gp, gpp
         if self.method == ODE_FALLBACK:
-            self._ensure_dense(float(np.max(t)) if t.size else 1.0)
-            y = self._dense(t)
+            if not t.size:
+                return t, t.copy(), t.copy()
+            self._ensure_dense(float(np.max(t)))
+            y = self._dense(t.ravel()).reshape((3,) + t.shape)
             return y[0], y[1], y[2]
-        e = np.exp(np.outer(t, self.roots) / 2.0)
-        half = self.roots / 2.0
-        g = e @ self.weights
-        gp = e @ (self.weights * half)
-        gpp = e @ (self.weights * half**2)
-        resid = max(np.max(np.abs(g.imag)), np.max(np.abs(gp.imag)), np.max(np.abs(gpp.imag)))
+        e = np.exp(np.multiply.outer(t, self.roots) / 2.0)
+        g, gp, gpp = (e @ w for w in self._mode_weights)
+        resid = np.abs(np.array([g.imag, gp.imag, gpp.imag])).max(initial=0.0)
         if resid > _REALNESS_TOL:
             raise DegenerateRoots(
                 f"imaginary residue {resid:.2e} exceeds {_REALNESS_TOL}; roots too close"
             )
         return g.real, gp.real, gpp.real
+
+    @cached_property
+    def _mode_weights(self):
+        # weights of exp(x t/2) in g, g' and g''
+        half = self.roots / 2.0
+        return self.weights, self.weights * half, self.weights * half**2
 
     def g(self, t) -> np.ndarray:
         return self.eval(t)[0]
@@ -289,21 +300,37 @@ def g_markov_limit_deriv(Gamma_w: float, kappa: float, t) -> np.ndarray:
     return -4.0 * kappa**2 * env * np.sin(c * t / 4.0) / c
 
 
-def _bisect_root(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
+def _sign_brackets(sol: GSolution, ts: np.ndarray, order: int):
+    """Sign of g^(order) on the grid ts and the indices i where it flips on [ts[i], ts[i+1]]."""
+    sign = np.sign(sol.eval(ts)[order])
+    return sign, np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+
+
+def _bisect(sol: GSolution, order: int, lo, hi) -> np.ndarray:
+    """Zeros of g^(order) in the brackets [lo[j], hi[j]], bisected all together.
+
+    Per bracket, mid = (lo + hi)/2 is the zero once hi - lo < 1e-12 or
+    g^(order)(mid) == 0 (the bracket then collapses onto it), else the half
+    whose sign differs from that at lo is kept, for at most 200 halvings.
+    Single-time values (see GSolution.eval) make each zero bitwise the one
+    found bisecting its bracket alone.
+    """
+    f = lambda t: sol.eval(t[:, None])[order][:, 0]
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
     flo = f(lo)
-    if flo == 0.0:
-        return lo
+    neg = flo < 0.0
+    hi[flo == 0.0] = lo[flo == 0.0]
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < xtol:
-            return mid
+        live = np.nonzero(hi - lo >= 1e-12)[0]
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
         fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        hit = fm == 0.0
+        same = (fm < 0.0) == neg[live]
+        lo[live[same | hit]] = mid[same | hit]
+        hi[live[~same | hit]] = mid[~same | hit]
     return 0.5 * (lo + hi)
 
 
@@ -318,11 +345,8 @@ def find_g_roots(sol: GSolution, t_max: float) -> list[float]:
     step = sol.scan_step()
     n = int(math.ceil(t_max / step))
     ts = np.linspace(0.0, t_max, n + 1)
-    gv = sol.g(ts)
-    sign = np.sign(gv)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    f = lambda t: float(sol.g(t)[0])
-    roots = [_bisect_root(f, ts[i], ts[i + 1]) for i in flips]
+    sign, flips = _sign_brackets(sol, ts, 0)
+    roots = _bisect(sol, 0, ts[flips], ts[flips + 1]).tolist()
     # a sample landing exactly on a zero: count it if the neighbours straddle
     for i in np.nonzero(sign == 0.0)[0]:
         if 0 < i < n and sign[i - 1] * sign[i + 1] < 0:
@@ -346,11 +370,9 @@ def markov_root_times(delta: float, n_max: int) -> list[float]:
     phi = math.sqrt(2.0) * delta / s
     pref = 2.0 * math.sqrt(2.0) / s
     times: list[float] = []
-    n = 0
     # each family contributes one root per period; n_max+2 covers interleaving
-    while n <= n_max + 2:
+    for n in range(n_max + 3):
         for t in (pref * (n * math.pi - math.atan(phi)), pref * (n * math.pi + math.atan(1.0 / phi))):
             if t > 0.0:
                 bisect.insort(times, t)
-        n += 1
     return times[:n_max]

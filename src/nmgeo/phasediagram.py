@@ -11,15 +11,13 @@ where g' becomes tangent to zero: g'(t*) = g''(t*) = 0.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import non_markovianity
 from .errors import NegativeKappaSquared, NoConvergence, OutOfDomain
-from .gfunction import _bisect_root, find_g_roots, solve_g
+from .gfunction import _bisect, _sign_brackets, find_g_roots, solve_g
 from .model import ModelParams
 
 GREEN_BLUE_JOIN = 27.0 / 16.0
@@ -81,14 +79,11 @@ def _first_gp_maximum(gamma_w: float, kappa: float, t_scan: float, n_scan: int):
     """
     sol = solve_g(_params(gamma_w, kappa))
     ts = np.linspace(1e-6, t_scan, n_scan)
-    gpp = sol.eval(ts)[2]
-    sign = np.sign(gpp)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    _, flips = _sign_brackets(sol, ts, 2)
     if flips.size < 2:
         return None
-    i = flips[1]
-    f = lambda t: float(sol.eval(t)[2][0])
-    t_star = _bisect_root(f, ts[i], ts[i + 1])
+    i = flips[1:2]
+    t_star = float(_bisect(sol, 2, ts[i], ts[i + 1])[0])
     return t_star, float(sol.eval(t_star)[1][0])
 
 
@@ -128,13 +123,14 @@ def tangency_point(
         )
     for _ in range(60):
         k_mid = 0.5 * (k_lo + k_hi)
+        if k_mid in (k_lo, k_hi):  # float resolution: the bracket can no longer move
+            break
         h = _first_gp_maximum(gamma_w, k_mid, t_scan, n_scan)
         if h is None or h[1] < 0.0:
             k_lo = k_mid
         else:
-            k_hi = k_mid
-    seed = _first_gp_maximum(gamma_w, k_hi, t_scan, n_scan)
-    t, k = seed[0], k_hi
+            k_hi, h_hi = k_mid, h
+    t, k = h_hi[0], k_hi
 
     def residual(t_, k_):
         _, gp, gpp = solve_g(_params(gamma_w, k_)).eval(t_)
@@ -216,44 +212,23 @@ def classify_point(
     return PhaseCell(gamma_w, kappa, region, t_first, report.n_total)
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else NMGEO_THREADS (0 or unset = auto)."""
-    if workers is None:
-        env = os.environ.get("NMGEO_THREADS", "0")
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return workers
-
-
 def sweep(
     gamma_values,
     kappa_values,
     t_max: float = 200.0,
     *,
     dt: float = 0.01,
-    workers: int | None = None,
 ) -> list[PhaseCell]:
     """Classify every (gamma_w, kappa) grid node, row-major in gamma then kappa.
 
-    Cells are independent tasks; results are keyed by grid index, so the
-    output is identical for any worker count.  Per-cell failures are
-    recorded in the cell (region ERR) and never abort the sweep.
+    Per-cell failures are recorded in the cell (region ERR) and never abort
+    the sweep.
     """
-    points = [(g, k) for g in gamma_values for k in kappa_values]
-
-    def one(point):
-        g, k = point
-        try:
-            return classify_point(g, k, t_max, dt=dt)
-        except Exception as exc:  # recorded, not raised
-            return PhaseCell(g, k, REGION_ERROR, None, math.nan, error=str(exc))
-
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(points) < 2:
-        return [one(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(one, points))
+    cells = []
+    for g in gamma_values:
+        for k in kappa_values:
+            try:
+                cells.append(classify_point(g, k, t_max, dt=dt))
+            except Exception as exc:  # recorded, not raised
+                cells.append(PhaseCell(g, k, REGION_ERROR, None, math.nan, error=str(exc)))
+    return cells

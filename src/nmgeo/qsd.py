@@ -35,6 +35,7 @@ are bitwise identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,7 +44,6 @@ import numpy as np
 from .errors import ValidationError
 from .gfunction import GSolution, solve_g
 from .model import GridSpec, ModelParams, PureState2, TimeSeries, validate_params
-from .phasediagram import resolve_workers
 
 CHUNK = 128  # fixed reduction granularity; must not depend on worker count
 
@@ -191,6 +191,19 @@ class EnsembleResult:
     base_seed: int
     mean_final_norm_sq: float
     stderr_final_norm_sq: float
+
+
+def resolve_workers(workers: int | None = None) -> int:
+    """Worker count: explicit argument, else NMGEO_THREADS (0 or unset = auto)."""
+    if workers is None:
+        env = os.environ.get("NMGEO_THREADS", "0")
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+    if workers <= 0:
+        workers = os.cpu_count() or 1
+    return workers
 
 
 def ensemble_density(

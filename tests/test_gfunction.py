@@ -19,9 +19,9 @@ from nmgeo import (
     ode_state_matrix,
     solve_g,
 )
-from nmgeo.gfunction import MARKOV, ODE_FALLBACK, ROOT_SUM
+from nmgeo.gfunction import MARKOV, ODE_FALLBACK, ROOT_SUM, _bisect, _sign_brackets
 
-from conftest import EXCEPTION_POINT, MARKOV_POINT
+from conftest import EXCEPTION_POINT, MARKOV_POINT, REF_POINT
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +151,15 @@ def test_realness_over_random_draws(rng):
         gc = e @ sol.weights
         worst = max(worst, float(np.max(np.abs(gc.imag))))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "point", [REF_POINT, dict(kappa=0.0, gamma_w=2.0), dict(kappa=0.5, gamma_w=math.inf)]
+)
+def test_eval_empty_input(point):
+    # one point per representation: root-sum, ODE fallback, Markov
+    for values in solve_g(ModelParams(**point)).eval([]):
+        assert values.shape == (0,) and values.dtype == float
 
 
 def test_degenerate_roots_fall_back_to_ode():
@@ -293,3 +302,50 @@ def test_root_count_stable_at_4x_scan_density(ref_gsol):
 def test_find_g_roots_rejects_bad_t_max(ref_gsol):
     with pytest.raises(ValueError):
         find_g_roots(ref_gsol, -1.0)
+
+
+def _bisect_root(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
+    """Scalar bisection, the reference rule for the batched finder."""
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < xtol:
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (flo < 0.0) == (fm < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_batched_bisection_matches_scalar_reference(order):
+    rng = np.random.default_rng(7)
+    points = [
+        dict(gamma_w=float(gw), kappa=float(k))
+        for gw, k in zip(rng.uniform(0.05, 3.0, 18), rng.uniform(0.01, 0.6, 18))
+    ]
+    # a g root and a g' zero at these two points lose their last bit when
+    # bisection values come from a matrix-vector product over all brackets
+    points += [
+        dict(gamma_w=1.3551144553589063, kappa=0.5923015159294286),
+        dict(gamma_w=1.1195995087147772, kappa=0.5201632003595308),
+    ]
+    # Markov bath, no roots of g, and g = 1 (ODE fallback): no brackets at all
+    points += [dict(kappa=0.5, gamma_w=math.inf), MARKOV_POINT, dict(kappa=0.0, gamma_w=2.0)]
+    counts = []
+    for point in points:
+        sol = solve_g(ModelParams(**point))
+        ts = np.linspace(0.0, 200.0, int(math.ceil(200.0 / sol.scan_step())) + 1)
+        sign, flips = _sign_brackets(sol, ts, order)
+        assert flips.tolist() == [i for i in range(ts.size - 1) if sign[i] * sign[i + 1] < 0]
+        f = lambda t: float(sol.eval(t)[order][0])
+        expect = [_bisect_root(f, ts[i], ts[i + 1]) for i in flips]
+        assert _bisect(sol, order, ts[flips], ts[flips + 1]).tolist() == expect
+        counts.append(len(expect))
+    assert min(counts) == 0 and sum(counts) > len(points)

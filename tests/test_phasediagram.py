@@ -139,16 +139,15 @@ def test_n_total_sign_around_tangency():
 def test_sweep_cardinality_and_determinism():
     gammas = np.linspace(0.2, 1.1, 10)
     kappas = np.linspace(0.05, 0.5, 10)
-    cells_serial = sweep(gammas, kappas, t_max=50.0, workers=1)
-    assert len(cells_serial) == 100
-    assert all(c.region != REGION_ERROR for c in cells_serial)
-    cells_threaded = sweep(gammas, kappas, t_max=50.0, workers=3)
-    assert cells_serial == cells_threaded
+    cells = sweep(gammas, kappas, t_max=50.0)
+    assert len(cells) == 100
+    assert all(c.region != REGION_ERROR for c in cells)
+    assert sweep(gammas, kappas, t_max=50.0) == cells
 
 
 def test_sweep_region_sequence_along_gamma_09():
     kappas = np.arange(0.005, 0.6, 0.005)
-    cells = sweep([0.9], kappas, t_max=200.0, workers=1)
+    cells = sweep([0.9], kappas, t_max=200.0)
     regions = [c.region for c in cells]
     # ordered M -> NM_NODIV -> NM_DIV with no interleaving
     order = {REGION_MARKOV: 0, REGION_NONDIVERGENT: 1, REGION_DIVERGENT: 2}
@@ -168,7 +167,7 @@ def test_divergence_iff_above_blue(rng):
 
 
 def test_sweep_records_errors_per_cell():
-    cells = sweep([-1.0, 0.9], [0.1], t_max=20.0, workers=1)
+    cells = sweep([-1.0, 0.9], [0.1], t_max=20.0)
     assert cells[0].region == REGION_ERROR
     assert cells[0].error
     assert math.isnan(cells[0].n_total)
@@ -176,7 +175,7 @@ def test_sweep_records_errors_per_cell():
 
 
 def test_worker_count_env_var(monkeypatch):
-    from nmgeo.phasediagram import resolve_workers
+    from nmgeo.qsd import resolve_workers
 
     monkeypatch.setenv("NMGEO_THREADS", "3")
     assert resolve_workers() == 3
