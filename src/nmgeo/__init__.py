@@ -50,7 +50,6 @@ from .gfunction import (
     cubic_discriminant,
     cubic_roots,
     find_g_roots,
-    g_eval,
     g_markov_limit,
     g_markov_limit_deriv,
     g_ode_oracle,
@@ -82,11 +81,13 @@ from .phasediagram import (
     REGION_MARKOV,
     REGION_NONDIVERGENT,
     PhaseCell,
+    TangencyPoint,
     blue_boundary,
     classify_point,
     green_boundary,
     sweep,
     tangency_boundary,
+    tangency_curve,
     tangency_point,
 )
 from .qsd import (

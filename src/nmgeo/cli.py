@@ -43,7 +43,7 @@ from .phasediagram import (
     blue_boundary,
     green_boundary,
     sweep,
-    tangency_boundary,
+    tangency_curve,
 )
 from .qsd import ensemble_density
 
@@ -62,14 +62,18 @@ def _clamped_beta_column(series: TimeSeries) -> np.ndarray:
     """beta_I clipped to +-50; pole samples take the sign of the nearest finite one."""
     beta_i = np.asarray(series["beta_I"], dtype=float)
     out = np.clip(beta_i, -BETA_CLAMP, BETA_CLAMP)
-    bad = np.nonzero(~np.isfinite(beta_i))[0]
-    finite = np.nonzero(np.isfinite(beta_i))[0]
-    for i in bad:
-        if finite.size:
-            j = finite[np.argmin(np.abs(finite - i))]
-            out[i] = math.copysign(BETA_CLAMP, beta_i[j]) if beta_i[j] != 0 else -BETA_CLAMP
-        else:
-            out[i] = -BETA_CLAMP
+    ok = np.isfinite(beta_i)
+    bad, finite = np.nonzero(~ok)[0], np.nonzero(ok)[0]
+    if not finite.size:
+        out[bad] = -BETA_CLAMP
+        return out
+    # nearest finite neighbour of each bad sample; the earlier one on a tie
+    pos = np.searchsorted(finite, bad)
+    left = finite[np.maximum(pos - 1, 0)]
+    right = finite[np.minimum(pos, finite.size - 1)]
+    take_left = (pos > 0) & ((pos == finite.size) | (bad - left <= right - bad))
+    nearest = beta_i[np.where(take_left, left, right)]
+    out[bad] = np.where(nearest > 0.0, BETA_CLAMP, -BETA_CLAMP)
     return out
 
 
@@ -104,20 +108,13 @@ def _series_table(series: TimeSeries) -> dict:
 def write_series_csv(series: TimeSeries, path: str) -> None:
     """Fixed-header CSV, 17 significant digits, absent channels as empty fields."""
     cols = _series_table(series)
-    n = series.grid.n_steps + 1
+    template = ",".join(
+        "" if cols[n] is None else "%d" if n == "pole" else "%.17g" for n in SERIES_COLUMNS
+    ) + "\n"
+    rows = zip(*(np.asarray(a).tolist() for a in cols.values() if a is not None))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")
-        for k in range(n):
-            row = []
-            for name in SERIES_COLUMNS:
-                arr = cols[name]
-                if arr is None:
-                    row.append("")
-                elif name == "pole":
-                    row.append(str(int(arr[k])))
-                else:
-                    row.append(_fmt(arr[k]))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(template % row for row in rows)
 
 
 def write_series_json(series: TimeSeries, path: str) -> None:
@@ -415,19 +412,22 @@ def _run_sweep(cfg: RunConfig):
 
 
 def _run_boundaries(cfg: RunConfig):
-    gammas = _parse_range(cfg.gamma_w_range, "--gamma-w-range")
+    gammas = [float(gw) for gw in _parse_range(cfg.gamma_w_range, "--gamma-w-range")]
+    curve = tangency_curve([gw for gw in gammas if 0.0 < gw < GREEN_BLUE_JOIN])
+    tangency = {point.gamma_w: point for point in curve}
     rows = []
     for gw in gammas:
-        row = {"gamma_w": float(gw), "green": None, "blue": None, "tangency": None}
+        row = {"gamma_w": gw, "green": None, "blue": None, "tangency": None}
         if 0.0 < gw <= 2.25:
-            row["green"] = green_boundary(float(gw))
+            row["green"] = green_boundary(gw)
         if GREEN_BLUE_JOIN <= gw <= 3.0:
-            row["blue"] = blue_boundary(float(gw))
+            row["blue"] = blue_boundary(gw)
         if 0.0 < gw < GREEN_BLUE_JOIN:
-            try:
-                row["tangency"] = tangency_boundary(float(gw))
-            except NmgeoError as exc:
-                row["tangency_error"] = str(exc)
+            point = tangency[gw]
+            if point.error is None:
+                row["tangency"] = point.kappa
+            else:
+                row["tangency_error"] = point.error
         rows.append(row)
     extras = {
         "join_point": {"gamma_w": GREEN_BLUE_JOIN, "kappa": 3.0 * math.sqrt(3.0) / 16.0},

@@ -272,21 +272,24 @@ def non_markovianity(p: ModelParams, t_max: float, dt: float = 0.01) -> NonMarko
     """
     validate_params(p)
     sol = solve_g(p)
+    return _non_markovianity(sol, t_max, dt, find_g_roots(sol, t_max))
+
+
+def _non_markovianity(sol: GSolution, t_max: float, dt: float, roots: list) -> NonMarkovReport:
+    """non_markovianity of a solved g whose roots in (0, t_max] are already known."""
     grid = GridSpec.uniform(t_max, dt)
-    ts = grid.times()
-    g, gp, _ = sol.eval(ts)
+    g = sol.eval(grid.times())[0]
     absg = np.abs(g)
     inc = np.maximum(np.diff(absg), 0.0)
     n_t = np.concatenate([[0.0], np.cumsum(inc)])
-    windows = _backflow_windows(sol, t_max)
+    windows = _backflow_windows(sol, t_max, roots)
     series = TimeSeries(grid, {"g": g, "abs_g": absg, "N_t": n_t})
     return NonMarkovReport(series=series, windows=windows, n_total=float(n_t[-1]))
 
 
-def _backflow_windows(sol: GSolution, t_max: float) -> list:
+def _backflow_windows(sol: GSolution, t_max: float, roots: list) -> list:
     """Maximal intervals of (0, t_max) where g * g' > 0, edges refined."""
-    bounds = [0.0]
-    bounds += find_g_roots(sol, t_max)
+    bounds = [0.0, *roots]
     step = sol.scan_step()
     ts = np.linspace(0.0, t_max, int(math.ceil(t_max / step)) + 1)
     _, flips = _sign_brackets(sol, ts, 1)

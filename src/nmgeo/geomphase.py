@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import POLE_G_TOL
 from .errors import OutOfRangeAngle
 from .gfunction import GSolution, find_g_roots, solve_g
 from .model import GridSpec, ModelParams, TimeSeries, validate_params
 
-POLE_G_TOL = 1e-12
 BETA_CLAMP = 50.0
 
 

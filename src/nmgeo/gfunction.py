@@ -231,11 +231,6 @@ def solve_g(p: ModelParams) -> GSolution:
     return GSolution(params=p, method=ROOT_SUM, roots=roots, weights=weights)
 
 
-def g_eval(sol: GSolution, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, g', g'') at t >= 0; see GSolution.eval."""
-    return sol.eval(t)
-
-
 def _g_rhs(t, y, gw, Gw, k2):
     return [y[1], y[2], -gw * y[2] - 0.5 * (gw * Gw + 2.0 * k2) * y[1] - gw * k2 * y[0]]
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import non_markovianity
-from .errors import NegativeKappaSquared, NoConvergence, OutOfDomain
+from .dynamics import _non_markovianity
+from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import _bisect, _sign_brackets, find_g_roots, solve_g
 from .model import ModelParams
 
@@ -28,6 +28,10 @@ REGION_NONDIVERGENT = "NM_NODIV"
 REGION_ERROR = "ERR"
 
 N_THRESHOLD = 1e-6
+
+# tangency defaults: first-lobe scan window and samples, Newton tolerance and steps
+_T_SCAN, _N_SCAN = 60.0, 2500
+_NEWTON_TOL, _NEWTON_ITER = 1e-10, 60
 
 
 def green_boundary(gamma_w: float) -> float:
@@ -87,26 +91,81 @@ def _first_gp_maximum(gamma_w: float, kappa: float, t_scan: float, n_scan: int):
     return t_star, float(sol.eval(t_star)[1][0])
 
 
+def _tangency_newton(gamma_w: float, t: float, k: float, tol: float, max_iter: int):
+    """Damped Newton from (t, kappa) onto g'(t) = 0 = g''(t); returns floats.
+
+    The residual is (g', g'')/kappa^2: both are O(kappa^2), so unscaled the
+    iteration can slide to kappa ~ 0, where any tolerance holds without a
+    tangency.  The t column of the Jacobian is (g'', g''')/kappa^2 in closed
+    form, g''' from the ODE; only the kappa column is differenced.
+    """
+    gw, Gw = gamma_w, _params(gamma_w, k).Gamma_w
+
+    def state(t_, k_):
+        g, gp, gpp = solve_g(_params(gw, k_)).eval(t_)
+        return g[0], np.array([gp[0], gpp[0]]) / k_**2
+
+    g, fval = state(t, k)
+    for _ in range(max_iter):
+        if np.max(np.abs(fval)) < tol:
+            return float(t), float(k)
+        gp, gpp = fval  # divided by kappa^2, as is g''' here
+        gppp = -gw * gpp - 0.5 * (gw * Gw + 2.0 * k**2) * gp - gw * g
+        hk = 1e-7 * max(1.0, k)
+        jac = np.empty((2, 2))
+        jac[:, 0] = (gpp, gppp)
+        jac[:, 1] = (state(t, k + hk)[1] - state(t, k - hk)[1]) / (2.0 * hk)
+        try:
+            step = np.linalg.solve(jac, -fval)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(
+                "singular Jacobian in tangency Newton",
+                {"gamma_w": gamma_w, "t": t, "kappa": k, "residual": fval.tolist()},
+            ) from exc
+        lam, n0 = 1.0, float(fval @ fval)
+        while lam > 1e-8:
+            t_c, k_c = t + lam * step[0], k + lam * step[1]
+            if k_c > 0.0:
+                g_c, f_c = state(t_c, k_c)
+                if float(f_c @ f_c) < n0:
+                    break
+            lam *= 0.5
+        else:
+            raise NoConvergence(
+                "tangency Newton found no descent step",
+                {"gamma_w": gamma_w, "t": t, "kappa": k, "residual": fval.tolist()},
+            )
+        t, k, g, fval = t_c, k_c, g_c, f_c
+    raise NoConvergence(
+        "tangency Newton did not reach tolerance",
+        {"gamma_w": gamma_w, "t": t, "kappa": k, "residual": fval.tolist()},
+    )
+
+
+def _check_tangency_domain(gamma_w: float):
+    if not (0.0 < gamma_w < GREEN_BLUE_JOIN):
+        raise OutOfDomain(
+            f"tangency construction applies for gamma_w in (0, 27/16), got {gamma_w}"
+        )
+
+
 def tangency_point(
     gamma_w: float,
     *,
-    t_scan: float = 60.0,
-    n_scan: int = 2500,
-    newton_tol: float = 1e-10,
-    max_iter: int = 60,
+    t_scan: float = _T_SCAN,
+    n_scan: int = _N_SCAN,
+    newton_tol: float = _NEWTON_TOL,
+    max_iter: int = _NEWTON_ITER,
 ) -> tuple[float, float]:
     """(t*, kappa*) solving g'(t*) = 0 = g''(t*) at the smallest kappa > 0.
 
     The double root makes a raw 2-d scan on |g'| + |g''| useless (both decay
     exponentially, so spurious distant lobes win), so the seed comes from
     bisecting kappa on the sign of g' at its first interior local maximum;
-    a damped Newton iteration with a numerical Jacobian then polishes (t,
-    kappa) to the requested tolerance.
+    a damped Newton iteration then polishes (t, kappa) until both components
+    of (g', g'')/kappa^2 are below newton_tol.
     """
-    if not (0.0 < gamma_w < GREEN_BLUE_JOIN):
-        raise OutOfDomain(
-            f"tangency construction applies for gamma_w in (0, 27/16), got {gamma_w}"
-        )
+    _check_tangency_domain(gamma_w)
     k_hi = green_boundary(gamma_w)
     k_lo = k_hi / 1e4
     h_lo = _first_gp_maximum(gamma_w, k_lo, t_scan, n_scan)
@@ -130,42 +189,67 @@ def tangency_point(
             k_lo = k_mid
         else:
             k_hi, h_hi = k_mid, h
-    t, k = h_hi[0], k_hi
+    return _tangency_newton(gamma_w, h_hi[0], k_hi, newton_tol, max_iter)
 
-    def residual(t_, k_):
-        _, gp, gpp = solve_g(_params(gamma_w, k_)).eval(t_)
-        return np.array([gp[0], gpp[0]])
 
-    fval = residual(t, k)
-    for _ in range(max_iter):
-        if np.max(np.abs(fval)) < newton_tol:
-            break
-        ht = 1e-6 * max(1.0, abs(t))
-        hk = 1e-7 * max(1.0, abs(k))
-        jac = np.empty((2, 2))
-        jac[:, 0] = (residual(t + ht, k) - residual(t - ht, k)) / (2.0 * ht)
-        jac[:, 1] = (residual(t, k + hk) - residual(t, k - hk)) / (2.0 * hk)
+def tangency_boundary(gamma_w: float, **kwargs) -> float:
+    """Markov / non-Markovian boundary kappa*(gamma_w); see tangency_point."""
+    return tangency_point(gamma_w, **kwargs)[1]
+
+
+@dataclass(frozen=True)
+class TangencyPoint:
+    """One point of the tangency curve; t_star and kappa are None when error is set."""
+
+    gamma_w: float
+    t_star: float | None
+    kappa: float | None
+    error: str | None = None
+
+
+def tangency_curve(gamma_values) -> list[TangencyPoint]:
+    """Tangency points at each gamma_w, continued from one point to the next.
+
+    The first gamma_w with a Markov region is seeded by tangency_point's
+    kappa bisection.  Each later point starts from a secant predictor
+    through the two previous (t*, kappa*) (the previous one alone for the
+    second) and is polished by the same Newton.  One first-lobe scan at the
+    new kappa guards it: when the first maximum of g' is not at the Newton
+    t (the continuation followed a later lobe), the point is recomputed by
+    bisection.  A point that fails is recorded with its error, never
+    raised, and the next point is seeded afresh.
+    """
+    gammas = [float(gw) for gw in gamma_values]
+    for gw in gammas:
+        _check_tangency_domain(gw)
+    points: list[TangencyPoint] = []
+    done: list[TangencyPoint] = []  # the continuation's last two points
+    for gw in gammas:
         try:
-            step = np.linalg.solve(jac, -fval)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(
-                "singular Jacobian in tangency Newton",
-                {"gamma_w": gamma_w, "t": t, "kappa": k, "residual": fval.tolist()},
-            ) from exc
-        lam, n0 = 1.0, float(fval @ fval)
-        while lam > 1e-8:
-            cand = residual(t + lam * step[0], k + lam * step[1])
-            if float(cand @ cand) < n0:
-                break
-            lam *= 0.5
-        t, k = t + lam * step[0], k + lam * step[1]
-        fval = residual(t, k)
-    else:
-        raise NoConvergence(
-            "tangency Newton did not reach tolerance",
-            {"gamma_w": gamma_w, "t": t, "kappa": k, "residual": fval.tolist()},
-        )
-    return float(t), float(k)
+            t, k = _continued(gw, done) if done else tangency_point(gw)
+        except NmgeoError as exc:
+            points.append(TangencyPoint(gw, None, None, str(exc)))
+            done = []
+            continue
+        points.append(TangencyPoint(gw, t, k))
+        done = [*done[-1:], points[-1]]
+    return points
+
+
+def _continued(gamma_w: float, done: list[TangencyPoint]) -> tuple[float, float]:
+    """Tangency at gamma_w continued from the previous points, else by bisection."""
+    a, b = done[0], done[-1]
+    s = (gamma_w - b.gamma_w) / (b.gamma_w - a.gamma_w) if a.gamma_w != b.gamma_w else 0.0
+    t0, k0 = b.t_star + s * (b.t_star - a.t_star), b.kappa + s * (b.kappa - a.kappa)
+    try:
+        t, k = _tangency_newton(gamma_w, t0, k0, _NEWTON_TOL, _NEWTON_ITER)
+    except NmgeoError:
+        return tangency_point(gamma_w)
+    lobe = _first_gp_maximum(gamma_w, k, _T_SCAN, _N_SCAN)
+    # a later lobe, or one so flat that the Newton t is not pinned down
+    if lobe is None or abs(lobe[0] - t) > 1e-6 * max(1.0, t):
+        return tangency_point(gamma_w)
+    return t, k
 
 
 def tangency_boundary(gamma_w: float, **kwargs) -> float:
@@ -198,10 +282,9 @@ def classify_point(
     Roots in (0, t_max] => NM_DIV with the first root time; otherwise
     N_total > n_threshold => NM_NODIV, else M.
     """
-    p = _params(gamma_w, kappa)
-    sol = solve_g(p)
+    sol = solve_g(_params(gamma_w, kappa))
     roots = find_g_roots(sol, t_max)
-    report = non_markovianity(p, t_max, dt)
+    report = _non_markovianity(sol, t_max, dt, roots)
     if roots:
         region = REGION_DIVERGENT
         t_first = roots[0]

@@ -194,16 +194,18 @@ class EnsembleResult:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else NMGEO_THREADS (0 or unset = auto)."""
+    """Worker count: explicit argument, else NMGEO_THREADS (0 or unset = 1).
+
+    The chunks are GIL-bound numpy work, so one worker is the fastest
+    default; more workers give the same results bitwise.
+    """
     if workers is None:
         env = os.environ.get("NMGEO_THREADS", "0")
         try:
             workers = int(env)
         except ValueError:
             workers = 0
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return workers
+    return max(workers, 1)
 
 
 def ensemble_density(

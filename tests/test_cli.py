@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -72,6 +73,52 @@ def test_series_csv_pole_row_clamps_beta(tmp_path):
     assert rows[3][pi] == "1"
     assert float(rows[3][bi]) == -50.0
     assert rows[2][pi] == "0"
+
+
+def _clamped_beta_reference(beta_i):
+    # per-sample loop the vectorised clamp replaced
+    out = np.clip(beta_i, -50.0, 50.0)
+    finite = np.nonzero(np.isfinite(beta_i))[0]
+    for i in np.nonzero(~np.isfinite(beta_i))[0]:
+        if finite.size:
+            j = finite[np.argmin(np.abs(finite - i))]
+            out[i] = math.copysign(50.0, beta_i[j]) if beta_i[j] != 0 else -50.0
+        else:
+            out[i] = -50.0
+    return out
+
+
+def test_clamped_beta_matches_loop_reference(rng):
+    grid = GridSpec.uniform(0.39, 0.01)
+    cases = [np.full(40, np.nan), np.r_[np.nan, 3.0, np.nan, np.nan, -0.0, np.inf, 7.0]]
+    for _ in range(50):
+        b = rng.normal(0.0, 60.0, 40)
+        b[rng.random(40) < 0.3] = np.nan
+        b[rng.random(40) < 0.05] = 0.0
+        cases.append(b)
+    for b in cases:
+        b = np.pad(b, (0, 40 - b.size), constant_values=1.0)
+        got = cli._clamped_beta_column(TimeSeries(grid, {"beta_I": b.copy()}))
+        np.testing.assert_array_equal(got, _clamped_beta_reference(b))
+
+
+# sha256 of the README time-series recipes' CSVs, pinned on x86-64 Linux
+# (numpy 2.4) before the row writer was rewritten
+README_SERIES_SHA256 = {
+    "phase": "2265b7114f1fc775c823d6d328c47e69c2ff197d19f9bf5de0653154ee76114b",
+    "nonmarkov": "23d94c3934437468c6fe38d5823b698e2b32ebf951ca47ed43b81824ecb05ce6",
+    "dynamics": "b968c5793cfe7d5b112c176ed3251428698b958b6bcddfb220be4dbcbc564fc1",
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(README_SERIES_SHA256))
+def test_readme_series_csv_bytes_pinned(tmp_path, subcommand):
+    out = tmp_path / f"{subcommand}.csv"
+    theta = [] if subcommand == "nonmarkov" else ["--theta", "0.7853981633974483"]
+    args = [subcommand, "--gamma-w", "0.9", "--kappa", "0.43", *theta,
+            "--t-max", "20", "--dt", "0.001", "--out", str(out)]
+    assert run(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_SERIES_SHA256[subcommand]
 
 
 def test_sweep_csv_contents(tmp_path):

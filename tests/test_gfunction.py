@@ -11,7 +11,6 @@ from nmgeo import (
     cubic_discriminant,
     cubic_roots,
     find_g_roots,
-    g_eval,
     g_markov_limit,
     g_markov_limit_deriv,
     g_ode_oracle,
@@ -102,7 +101,7 @@ def test_discriminant_zero_marks_repeated_root():
 # ---------------------------------------------------------------------------
 
 def test_initial_conditions(ref_gsol):
-    g, gp, gpp = g_eval(ref_gsol, 0.0)
+    g, gp, gpp = ref_gsol.eval(0.0)
     assert g[0] == pytest.approx(1.0, abs=1e-12)
     assert gp[0] == pytest.approx(0.0, abs=1e-12)
     assert gpp[0] == pytest.approx(-0.43**2, abs=1e-12)

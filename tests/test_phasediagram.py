@@ -5,6 +5,7 @@ import pytest
 
 from nmgeo import (
     GREEN_BLUE_JOIN,
+    GridSpec,
     REGION_DIVERGENT,
     REGION_ERROR,
     REGION_MARKOV,
@@ -15,13 +16,16 @@ from nmgeo import (
     classify_point,
     cubic_discriminant,
     find_g_roots,
+    g_ode_oracle,
     green_boundary,
     non_markovianity,
     solve_g,
     sweep,
     tangency_boundary,
+    tangency_curve,
     tangency_point,
 )
+from nmgeo.phasediagram import _first_gp_maximum, _tangency_newton
 
 JOIN_KAPPA = 3.0 * math.sqrt(3.0) / 16.0
 
@@ -93,6 +97,59 @@ def test_tangency_domain():
         tangency_point(GREEN_BLUE_JOIN)
     with pytest.raises(OutOfDomain):
         tangency_point(0.0)
+
+
+CURVE_GAMMAS = 0.10 + 0.05 * np.arange(32)  # 0.10:1.65:0.05
+
+
+@pytest.fixture(scope="module")
+def curve():
+    return tangency_curve(CURVE_GAMMAS)
+
+
+def test_tangency_curve_matches_per_point_bisection(curve):
+    assert [p.gamma_w for p in curve] == CURVE_GAMMAS.tolist()
+    for p in curve:
+        assert p.error is None
+        assert abs(p.kappa - tangency_point(p.gamma_w)[1]) <= 1e-8, p
+
+
+def test_tangency_curve_against_ode_oracle(curve):
+    for p in curve:
+        s = g_ode_oracle(ModelParams(kappa=p.kappa, gamma_w=p.gamma_w), GridSpec(p.t_star, 1))
+        assert max(abs(s["gp"][-1]), abs(s["gpp"][-1])) / p.kappa**2 <= 1e-9, p
+
+
+def test_tangency_curve_guard_keeps_first_lobe(curve):
+    # between 1.60 and 1.65 the first lobe of g' jumps from t ~ 24.3 to t ~ 37.0
+    p160, p165 = curve[-2], curve[-1]
+    assert p160.t_star == pytest.approx(24.28, abs=0.01)
+    assert p165.t_star == pytest.approx(36.99, abs=0.01)
+    lobe = _first_gp_maximum(p165.gamma_w, p165.kappa, 60.0, 2500)
+    assert lobe[0] == pytest.approx(p165.t_star, abs=1e-6)
+
+
+def test_tangency_curve_records_missing_markov_region():
+    points = tangency_curve([0.05, 0.10, 0.15])
+    assert points[0].error == "first lobe already positive at the lower kappa bracket"
+    assert points[0].t_star is None and points[0].kappa is None
+    assert all(p.error is None and p.kappa > 0.0 for p in points[1:])
+
+
+def test_tangency_curve_domain():
+    with pytest.raises(OutOfDomain):
+        tangency_curve([0.5, GREEN_BLUE_JOIN])
+
+
+def test_scaled_newton_keeps_small_kappa_tangency():
+    # g' and g'' are O(kappa^2): on the unscaled residual, Newton from a seed
+    # with half the kappa slides to kappa ~ 1e-5, where |g'|, |g''| < 1e-10
+    t_star, k_star = tangency_point(0.10)
+    assert k_star == pytest.approx(0.0567, abs=1e-4)
+    t, k = _tangency_newton(0.10, t_star, 0.5 * k_star, 1e-10, 60)
+    assert abs(k - k_star) <= 1e-8
+    descending = tangency_curve([0.20, 0.15, 0.10])
+    assert abs(descending[-1].kappa - k_star) <= 1e-8
 
 
 def test_above_tangency_crosses_transversally():
@@ -182,4 +239,5 @@ def test_worker_count_env_var(monkeypatch):
     monkeypatch.setenv("NMGEO_THREADS", "0")
     assert resolve_workers() >= 1
     monkeypatch.delenv("NMGEO_THREADS")
+    assert resolve_workers() == 1
     assert resolve_workers(2) == 2
