@@ -21,11 +21,9 @@ from .dynamics import (
     expectations_sigma,
     f_ode_oracle,
     f_w_closed_form,
-    f_w_from_f_z,
     f_z_from_g,
     non_markovianity,
     qfi_series,
-    qfi_theta,
     trace_distance,
 )
 from .errors import (
@@ -61,9 +59,7 @@ from .geomphase import (
     PhaseSeries,
     beta_imag_at,
     divergence_report,
-    dynamical_phase,
     geometric_phase,
-    total_phase,
 )
 from .model import (
     DensityMatrix2,

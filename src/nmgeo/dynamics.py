@@ -68,31 +68,6 @@ def f_w_closed_form(sol: GSolution, t) -> np.ndarray:
     return -1j * (gpp + kappa**2 * g) / (kappa * g)
 
 
-def _derivative_4th(y: np.ndarray, dt: float) -> np.ndarray:
-    """Fourth-order finite-difference derivative on a uniform grid."""
-    d = np.empty_like(y)
-    d[2:-2] = (-y[4:] + 8.0 * y[3:-1] - 8.0 * y[1:-3] + y[:-4]) / (12.0 * dt)
-    # one-sided five-point stencils at the edges
-    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * dt)
-    d[0] = c @ y[:5]
-    d[1] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * dt) @ y[:5]
-    d[-2] = -np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * dt) @ y[-5:][::-1]
-    d[-1] = -c @ y[-5:][::-1]
-    return d
-
-
-def f_w_from_f_z(f_z: np.ndarray, kappa: float, dt: float) -> np.ndarray:
-    """F_w = i [F_z' - kappa - kappa F_z^2] with F_z' by 4th-order differences.
-
-    Samples within two points of a pole marker (NaN) stay NaN.
-    """
-    fz = np.asarray(f_z, dtype=complex)
-    if fz.size < 5:
-        raise ValidationError("need at least 5 samples for the 4th-order stencil")
-    dfz = _derivative_4th(fz, dt)
-    return 1j * (dfz - kappa - kappa * fz**2)
-
-
 def f_ode_oracle(p: ModelParams, grid: GridSpec) -> OCoefficients:
     """F_z, F_w by direct integration of their coupled equations.
 
@@ -149,69 +124,24 @@ def f_ode_oracle(p: ModelParams, grid: GridSpec) -> OCoefficients:
 
 
 def evolve_master_equation(
-    p: ModelParams,
-    rho0: DensityMatrix2,
-    grid: GridSpec,
-    *,
-    gsol: GSolution | None = None,
-    f_z=None,
+    p: ModelParams, rho0: DensityMatrix2, grid: GridSpec, *, gsol: GSolution
 ) -> TimeSeries:
-    """Master-equation evolution of rho0 on the grid.
-
-    With gsol (resonant case) the evolution uses g directly,
+    """Master-equation evolution of rho0 on the grid (resonant case), from g,
 
         rho_ee(t) = rho_ee(0) g^2,   rho_eg(t) = rho_eg(0) e^{-i omega t} g,
 
-    which passes smoothly through the poles of F_z.  With f_z (a series
-    carrying an "F_z" channel, or a callable t -> complex; possibly
-    complex/detuned) the Lindblad equation is integrated numerically; the
-    window must not contain poles.  Exactly one of gsol / f_z must be given.
+    which passes smoothly through the poles of F_z.
     """
-    if (gsol is None) == (f_z is None):
-        raise ValidationError("provide exactly one of gsol or f_z")
+    if not p.resonant():
+        raise ValidationError("the g-based propagator assumes resonance")
     ts = grid.times()
-    if gsol is not None:
-        if not p.resonant():
-            raise ValidationError("the g-based propagator assumes resonance")
-        g = gsol.g(ts)
-        ree = rho0.rho_ee.real * g**2
-        reg = rho0.rho_eg * np.exp(-1j * p.omega * ts) * g
-        rgg = rho0.rho_gg.real + rho0.rho_ee.real * (1.0 - g**2)
-        return TimeSeries(
-            grid,
-            {"rho_ee": ree, "rho_eg": reg, "rho_ge": np.conj(reg), "rho_gg": rgg},
-        )
-
-    if callable(f_z):
-        fz_at = f_z
-    else:
-        fzv = f_z["F_z"]
-        if np.any(np.isnan(fzv.real)):
-            raise IntegrationFailure("F_z series contains pole markers inside the window")
-        ft = f_z.grid.times()
-
-        def fz_at(t):
-            return complex(np.interp(t, ft, fzv.real), np.interp(t, ft, fzv.imag))
-
-    def rhs(t, y):
-        ree, rer, rei, rgg = y
-        fz = fz_at(t)
-        reg = rer + 1j * rei
-        d_ee = -2.0 * p.kappa * fz.real * ree
-        d_eg = -(1j * (p.omega + p.kappa * fz.imag) + p.kappa * fz.real) * reg
-        d_gg = 2.0 * p.kappa * fz.real * ree
-        return [d_ee, d_eg.real, d_eg.imag, d_gg]
-
-    y0 = [rho0.rho_ee.real, rho0.rho_eg.real, rho0.rho_eg.imag, rho0.rho_gg.real]
-    sol = solve_ivp(
-        rhs, (ts[0], ts[-1]), y0, method="DOP853", rtol=1e-12, atol=1e-14, t_eval=ts
-    )
-    if not sol.success:
-        raise IntegrationFailure(f"master-equation integration failed: {sol.message}")
-    reg = sol.y[1] + 1j * sol.y[2]
+    g = gsol.g(ts)
+    ree = rho0.rho_ee.real * g**2
+    reg = rho0.rho_eg * np.exp(-1j * p.omega * ts) * g
+    rgg = rho0.rho_gg.real + rho0.rho_ee.real * (1.0 - g**2)
     return TimeSeries(
         grid,
-        {"rho_ee": sol.y[0], "rho_eg": reg, "rho_ge": np.conj(reg), "rho_gg": sol.y[3]},
+        {"rho_ee": ree, "rho_eg": reg, "rho_ge": np.conj(reg), "rho_gg": rgg},
     )
 
 
@@ -349,12 +279,11 @@ def qfi_series(
     *,
     gsol: GSolution | None = None,
     derivative: str = "analytic",
-    fd_step: float = 1e-5,
 ) -> np.ndarray:
     """QFI of the evolved family rho(t; theta) at each grid time.
 
     The theta-derivative is taken analytically from the closed-form state by
-    default; derivative="fd" uses central differences with step fd_step.
+    default; derivative="fd" uses central differences with step 1e-5.
     """
     validate_params(p)
     sol = gsol if gsol is not None else solve_g(p)
@@ -380,45 +309,8 @@ def qfi_series(
         drho[:, 1, 0] = np.conj(drho[:, 0, 1])
         drho[:, 1, 1] = -drho[:, 0, 0]
     elif derivative == "fd":
-        drho = (family(theta + fd_step) - family(theta - fd_step)) / (2.0 * fd_step)
+        h = 1e-5
+        drho = (family(theta + h) - family(theta - h)) / (2.0 * h)
     else:
         raise ValidationError(f"unknown derivative mode {derivative!r}")
     return _qfi_from_matrices(rho, drho)
-
-
-def qfi_theta(
-    p: ModelParams,
-    theta: float,
-    t: float,
-    convention: str = QFI_CONVENTION,
-    *,
-    gsol: GSolution | None = None,
-    derivative: str = "analytic",
-) -> float:
-    """QFI at a single time; see qfi_series."""
-    sol = gsol if gsol is not None else solve_g(p)
-    g = sol.g(t)
-    phase = np.exp(-1j * p.omega * np.array([t]))
-    ree0, reg0, dee0, deg0 = _initial_family(theta, convention)
-
-    def build(ree0_, reg0_):
-        rho = np.empty((1, 2, 2), dtype=complex)
-        rho[:, 0, 0] = ree0_ * g**2
-        rho[:, 0, 1] = reg0_ * phase * g
-        rho[:, 1, 0] = np.conj(rho[:, 0, 1])
-        rho[:, 1, 1] = 1.0 - rho[:, 0, 0]
-        return rho
-
-    rho = build(ree0, reg0)
-    if derivative == "analytic":
-        drho = np.empty_like(rho)
-        drho[:, 0, 0] = dee0 * g**2
-        drho[:, 0, 1] = deg0 * phase * g
-        drho[:, 1, 0] = np.conj(drho[:, 0, 1])
-        drho[:, 1, 1] = -drho[:, 0, 0]
-    else:
-        h = 1e-5
-        up = _initial_family(theta + h, convention)
-        dn = _initial_family(theta - h, convention)
-        drho = (build(up[0], up[1]) - build(dn[0], dn[1])) / (2.0 * h)
-    return float(_qfi_from_matrices(rho, drho)[0])

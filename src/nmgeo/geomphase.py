@@ -93,49 +93,6 @@ def _resolved_logs(g: np.ndarray, eta: np.ndarray, segments: list):
     return log_g, mag_eta + 1j * unwrapped, windings
 
 
-def total_phase(
-    p: ModelParams, theta: float, g: np.ndarray, grid: GridSpec, roots: list | None = None
-) -> np.ndarray:
-    """phi_T = -i/2 (log g + log eta) with the shared branch policy."""
-    _check_theta(theta)
-    ts = grid.times()
-    cth = math.cos(theta)
-    if abs(cth) == 1.0:
-        # pole states: eta reduces to g e^{-+ i omega t}; all logs cancel in beta
-        log_g, log_eta, _ = _pole_state_logs(p, g, ts, cth)
-        return -0.5j * (log_g + log_eta)
-    eta = _eta_of(g, cth, np.exp(1j * p.omega * ts))
-    segs = _segments(ts, roots if roots is not None else [])
-    log_g, log_eta, _ = _resolved_logs(g, eta, segs)
-    out = -0.5j * (log_g + log_eta)
-    out[np.abs(g) < POLE_G_TOL] = np.nan
-    return out
-
-
-def _pole_state_logs(p, g, ts, cth):
-    with np.errstate(divide="ignore"):
-        log_g = np.log(g.astype(complex))
-    # theta = 0: eta = g e^{-i w t}; theta = pi: eta = e^{i w t} / g
-    log_eta = log_g - 1j * p.omega * ts if cth > 0 else 1j * p.omega * ts - log_g
-    return log_g, log_eta, []
-
-
-def dynamical_phase(
-    p: ModelParams, theta: float, g: np.ndarray, grid: GridSpec, roots: list | None = None
-) -> np.ndarray:
-    """phi_d = -omega t cos(th)/2 - i/2 (cos th + 1) log g."""
-    _check_theta(theta)
-    ts = grid.times()
-    cth = math.cos(theta)
-    if cth == -1.0:  # log g coefficient vanishes exactly: omega t / 2, no poles
-        return (-0.5 * p.omega * ts * cth).astype(complex)
-    with np.errstate(divide="ignore"):
-        log_g = np.log(g.astype(complex))
-    out = -0.5 * p.omega * ts * cth - 0.5j * (cth + 1.0) * log_g
-    out[np.abs(g) < POLE_G_TOL] = np.nan
-    return out
-
-
 def geometric_phase(
     p: ModelParams,
     theta: float,
@@ -143,40 +100,44 @@ def geometric_phase(
     *,
     gsol: GSolution | None = None,
 ) -> PhaseSeries:
-    """Full phase bundle on the grid, with divergence times from the g-roots."""
+    """Full phase bundle on the grid, with divergence times from the g-roots.
+
+    For the pole states theta in {0, pi}, eta is g e^{-i omega t} or
+    e^{i omega t} / g, so phi_T = phi_d and beta = 0 exactly, with no pole
+    samples, divergence times or windings.  At theta = pi the log g term of
+    phi_d has coefficient zero and is dropped, so the phases stay finite
+    through zeros of g; at theta = 0 they are NaN where |g| < 1e-12.
+    """
     validate_params(p)
     _check_theta(theta)
     sol = gsol if gsol is not None else solve_g(p)
     ts = grid.times()
     g = sol.g(ts)
     cth = math.cos(theta)
-    roots = find_g_roots(sol, grid.t_end)
+    pole_state = abs(cth) == 1.0
 
-    if abs(cth) == 1.0:
-        zero = np.zeros(ts.size, dtype=complex)
-        series = TimeSeries(
-            grid,
-            {
-                "phi_T": zero,
-                "phi_d": zero.copy(),
-                "beta": zero.copy(),
-                "beta_I": np.zeros(ts.size),
-                "pole": np.zeros(ts.size, dtype=bool),
-                "g": g,
-            },
-        )
-        return PhaseSeries(series, [], [], 0.0)
+    if pole_state:
+        roots, windings = [], []
+        pole = np.zeros(ts.size, dtype=bool)
+        log_g = np.zeros(ts.size, dtype=complex)
+        if cth > 0.0:
+            with np.errstate(divide="ignore"):
+                log_g = np.log(g.astype(complex))
+            log_g[np.abs(g) < POLE_G_TOL] = np.nan
+    else:
+        roots = find_g_roots(sol, grid.t_end)
+        pole = np.abs(g) < POLE_G_TOL
+        eta = _eta_of(g, cth, np.exp(1j * p.omega * ts))
+        log_g, log_eta, windings = _resolved_logs(g, eta, _segments(ts, roots))
 
-    pole = np.abs(g) < POLE_G_TOL
-    eta = _eta_of(g, cth, np.exp(1j * p.omega * ts))
-    segs = _segments(ts, roots)
-    log_g, log_eta, windings = _resolved_logs(g, eta, segs)
-
-    phi_t = -0.5j * (log_g + log_eta)
     phi_d = -0.5 * p.omega * ts * cth - 0.5j * (cth + 1.0) * log_g
-    beta = 0.5 * (cth * (p.omega * ts + 1j * log_g) - 1j * log_eta)
-    finite = ~pole
-    residual = float(np.max(np.abs(beta[finite] - (phi_t[finite] - phi_d[finite]))))
+    if pole_state:
+        phi_t, beta, residual = phi_d.copy(), np.zeros(ts.size, dtype=complex), 0.0
+    else:
+        phi_t = -0.5j * (log_g + log_eta)
+        beta = 0.5 * (cth * (p.omega * ts + 1j * log_g) - 1j * log_eta)
+        finite = ~pole
+        residual = float(np.max(np.abs(beta[finite] - (phi_t[finite] - phi_d[finite]))))
 
     beta_i = np.where(pole, np.nan, beta.imag)
     for arr in (phi_t, phi_d, beta):

@@ -139,7 +139,8 @@ class GSolution:
         if self.method == MARKOV:
             g = g_markov_limit(self.params.Gamma_w, self.params.kappa, t)
             gp = g_markov_limit_deriv(self.params.Gamma_w, self.params.kappa, t)
-            gpp = self._markov_second_deriv(t)
+            # from the memory-less ODE g'' + Gamma_w g'/2 + kappa^2 g = 0
+            gpp = -0.5 * self.params.Gamma_w * gp - self.params.kappa**2 * g
             return g, gp, gpp
         if self.method == ODE_FALLBACK:
             if not t.size:
@@ -189,19 +190,6 @@ class GSolution:
         sol = _integrate_g(self.params, (0.0, t_hi), dense=True)
         self._dense = sol.sol
         self._dense_t_end = t_hi
-
-    def _markov_second_deriv(self, t: np.ndarray) -> np.ndarray:
-        # g'' = -Gw/4 g' - kappa^2 * e^{-Gw t/4} cosh(c t/4) from differentiating g'.
-        Gw, k = self.params.Gamma_w, self.params.kappa
-        c2 = Gw**2 - 16.0 * k**2
-        gp = g_markov_limit_deriv(Gw, k, t)
-        if abs(c2) < 1e-12 * max(Gw**2, 1.0):
-            ch = np.ones_like(t)
-        elif c2 > 0.0:
-            ch = np.cosh(np.sqrt(c2) * t / 4.0)
-        else:
-            ch = np.cos(np.sqrt(-c2) * t / 4.0)
-        return -0.25 * Gw * gp - k**2 * np.exp(-Gw * t / 4.0) * ch
 
 
 def solve_g(p: ModelParams) -> GSolution:

@@ -14,14 +14,6 @@ import numpy as np
 
 from .errors import NegativeCoupling, NonPositiveRate, OutOfRangeAngle, ValidationError
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_MINUS, SIGMA_PLUS):
-    _m.flags.writeable = False
-
 
 @dataclass(frozen=True, kw_only=True)
 class ModelParams:
@@ -116,14 +108,6 @@ class DensityMatrix2:
     def __post_init__(self):
         if abs(self.rho_ge - np.conj(self.rho_eg)) > _HERMITICITY_TOL:
             raise ValidationError("rho_ge must equal conj(rho_eg) within 1e-12")
-
-    @classmethod
-    def from_populations(cls, rho_ee: float, rho_eg: complex) -> "DensityMatrix2":
-        return cls(rho_ee, rho_eg, np.conj(rho_eg), 1.0 - rho_ee)
-
-    @classmethod
-    def from_array(cls, m: np.ndarray) -> "DensityMatrix2":
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
     def as_array(self) -> np.ndarray:
         return np.array(

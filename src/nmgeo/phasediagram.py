@@ -29,7 +29,7 @@ REGION_ERROR = "ERR"
 
 N_THRESHOLD = 1e-6
 
-# tangency defaults: first-lobe scan window and samples, Newton tolerance and steps
+# tangency: first-lobe scan window and samples, Newton tolerance and steps
 _T_SCAN, _N_SCAN = 60.0, 2500
 _NEWTON_TOL, _NEWTON_ITER = 1e-10, 60
 
@@ -149,27 +149,20 @@ def _check_tangency_domain(gamma_w: float):
         )
 
 
-def tangency_point(
-    gamma_w: float,
-    *,
-    t_scan: float = _T_SCAN,
-    n_scan: int = _N_SCAN,
-    newton_tol: float = _NEWTON_TOL,
-    max_iter: int = _NEWTON_ITER,
-) -> tuple[float, float]:
+def tangency_point(gamma_w: float) -> tuple[float, float]:
     """(t*, kappa*) solving g'(t*) = 0 = g''(t*) at the smallest kappa > 0.
 
     The double root makes a raw 2-d scan on |g'| + |g''| useless (both decay
     exponentially, so spurious distant lobes win), so the seed comes from
     bisecting kappa on the sign of g' at its first interior local maximum;
     a damped Newton iteration then polishes (t, kappa) until both components
-    of (g', g'')/kappa^2 are below newton_tol.
+    of (g', g'')/kappa^2 are below 1e-10.
     """
     _check_tangency_domain(gamma_w)
     k_hi = green_boundary(gamma_w)
     k_lo = k_hi / 1e4
-    h_lo = _first_gp_maximum(gamma_w, k_lo, t_scan, n_scan)
-    h_hi = _first_gp_maximum(gamma_w, k_hi, t_scan, n_scan)
+    h_lo = _first_gp_maximum(gamma_w, k_lo, _T_SCAN, _N_SCAN)
+    h_hi = _first_gp_maximum(gamma_w, k_hi, _T_SCAN, _N_SCAN)
     if h_hi is None or h_hi[1] <= 0.0:
         raise NoConvergence(
             "no positive first lobe of g' at the green boundary",
@@ -184,17 +177,17 @@ def tangency_point(
         k_mid = 0.5 * (k_lo + k_hi)
         if k_mid in (k_lo, k_hi):  # float resolution: the bracket can no longer move
             break
-        h = _first_gp_maximum(gamma_w, k_mid, t_scan, n_scan)
+        h = _first_gp_maximum(gamma_w, k_mid, _T_SCAN, _N_SCAN)
         if h is None or h[1] < 0.0:
             k_lo = k_mid
         else:
             k_hi, h_hi = k_mid, h
-    return _tangency_newton(gamma_w, h_hi[0], k_hi, newton_tol, max_iter)
+    return _tangency_newton(gamma_w, h_hi[0], k_hi, _NEWTON_TOL, _NEWTON_ITER)
 
 
-def tangency_boundary(gamma_w: float, **kwargs) -> float:
+def tangency_boundary(gamma_w: float) -> float:
     """Markov / non-Markovian boundary kappa*(gamma_w); see tangency_point."""
-    return tangency_point(gamma_w, **kwargs)[1]
+    return tangency_point(gamma_w)[1]
 
 
 @dataclass(frozen=True)
@@ -252,11 +245,6 @@ def _continued(gamma_w: float, done: list[TangencyPoint]) -> tuple[float, float]
     return t, k
 
 
-def tangency_boundary(gamma_w: float, **kwargs) -> float:
-    """Markov / non-Markovian boundary kappa*(gamma_w); see tangency_point."""
-    return tangency_point(gamma_w, **kwargs)[1]
-
-
 @dataclass(frozen=True)
 class PhaseCell:
     """Classification record of one (gamma_w, kappa) grid point."""
@@ -275,12 +263,11 @@ def classify_point(
     t_max: float = 200.0,
     *,
     dt: float = 0.01,
-    n_threshold: float = N_THRESHOLD,
 ) -> PhaseCell:
     """Classify one parameter point by g-roots and accumulated backflow.
 
     Roots in (0, t_max] => NM_DIV with the first root time; otherwise
-    N_total > n_threshold => NM_NODIV, else M.
+    N_total > N_THRESHOLD => NM_NODIV, else M.
     """
     sol = solve_g(_params(gamma_w, kappa))
     roots = find_g_roots(sol, t_max)
@@ -288,7 +275,7 @@ def classify_point(
     if roots:
         region = REGION_DIVERGENT
         t_first = roots[0]
-    elif report.n_total > n_threshold:
+    elif report.n_total > N_THRESHOLD:
         region, t_first = REGION_NONDIVERGENT, None
     else:
         region, t_first = REGION_MARKOV, None

@@ -64,10 +64,6 @@ class TrajectoryState:
 
     states: np.ndarray
 
-    @property
-    def final_norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.states[-1]) ** 2))
-
 
 def _check_grid(p: ModelParams, grid: GridSpec):
     if math.isinf(p.gamma_w):

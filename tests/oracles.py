@@ -1,0 +1,88 @@
+"""Independent reference routes used only by the tests.
+
+f_w_from_f_z differentiates a sampled F_z numerically, and evolve_lindblad
+integrates the Lindblad equation driven by F_z; both check the closed-form
+library routes against a second, independent computation.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from nmgeo import (
+    DensityMatrix2,
+    GridSpec,
+    IntegrationFailure,
+    ModelParams,
+    TimeSeries,
+    ValidationError,
+)
+
+
+def _derivative_4th(y: np.ndarray, dt: float) -> np.ndarray:
+    """Fourth-order finite-difference derivative on a uniform grid."""
+    d = np.empty_like(y)
+    d[2:-2] = (-y[4:] + 8.0 * y[3:-1] - 8.0 * y[1:-3] + y[:-4]) / (12.0 * dt)
+    # one-sided five-point stencils at the edges
+    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * dt)
+    d[0] = c @ y[:5]
+    d[1] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * dt) @ y[:5]
+    d[-2] = -np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * dt) @ y[-5:][::-1]
+    d[-1] = -c @ y[-5:][::-1]
+    return d
+
+
+def f_w_from_f_z(f_z: np.ndarray, kappa: float, dt: float) -> np.ndarray:
+    """F_w = i [F_z' - kappa - kappa F_z^2] with F_z' by 4th-order differences.
+
+    Samples within two points of a pole marker (NaN) stay NaN.
+    """
+    fz = np.asarray(f_z, dtype=complex)
+    if fz.size < 5:
+        raise ValidationError("need at least 5 samples for the 4th-order stencil")
+    dfz = _derivative_4th(fz, dt)
+    return 1j * (dfz - kappa - kappa * fz**2)
+
+
+def evolve_lindblad(p: ModelParams, rho0: DensityMatrix2, grid: GridSpec, f_z) -> TimeSeries:
+    """Integrate the Lindblad equation driven by F_z on the grid (DOP853).
+
+        drho/dt = -i [omega sigma_z/2 + kappa Im(F_z) sigma^+ sigma^-, rho]
+                  + 2 kappa Re(F_z) D[sigma^-] rho
+
+    f_z is a series carrying an "F_z" channel (linearly interpolated) or a
+    callable t -> complex; the window must not contain poles of F_z.
+    """
+    ts = grid.times()
+    if callable(f_z):
+        fz_at = f_z
+    else:
+        fzv = f_z["F_z"]
+        if np.any(np.isnan(fzv.real)):
+            raise IntegrationFailure("F_z series contains pole markers inside the window")
+        ft = f_z.grid.times()
+
+        def fz_at(t):
+            return complex(np.interp(t, ft, fzv.real), np.interp(t, ft, fzv.imag))
+
+    def rhs(t, y):
+        ree, rer, rei, rgg = y
+        fz = fz_at(t)
+        reg = rer + 1j * rei
+        d_ee = -2.0 * p.kappa * fz.real * ree
+        d_eg = -(1j * (p.omega + p.kappa * fz.imag) + p.kappa * fz.real) * reg
+        d_gg = 2.0 * p.kappa * fz.real * ree
+        return [d_ee, d_eg.real, d_eg.imag, d_gg]
+
+    y0 = [rho0.rho_ee.real, rho0.rho_eg.real, rho0.rho_eg.imag, rho0.rho_gg.real]
+    sol = solve_ivp(
+        rhs, (ts[0], ts[-1]), y0, method="DOP853", rtol=1e-12, atol=1e-14, t_eval=ts
+    )
+    if not sol.success:
+        raise IntegrationFailure(f"master-equation integration failed: {sol.message}")
+    reg = sol.y[1] + 1j * sol.y[2]
+    return TimeSeries(
+        grid,
+        {"rho_ee": sol.y[0], "rho_eg": reg, "rho_ge": np.conj(reg), "rho_gg": sol.y[3]},
+    )

@@ -103,22 +103,31 @@ def test_clamped_beta_matches_loop_reference(rng):
 
 
 # sha256 of the README time-series recipes' CSVs, pinned on x86-64 Linux
-# (numpy 2.4) before the row writer was rewritten
+# (numpy 2.4) before the row writer was rewritten; the pole states theta = 0
+# and pi give beta = 0 and the same file
+POLE_STATE_PHASE_SHA256 = "fe5fc9c9e9d67ba93d41016323b77876be30c50c105edff6ecf463693cace618"
 README_SERIES_SHA256 = {
-    "phase": "2265b7114f1fc775c823d6d328c47e69c2ff197d19f9bf5de0653154ee76114b",
-    "nonmarkov": "23d94c3934437468c6fe38d5823b698e2b32ebf951ca47ed43b81824ecb05ce6",
-    "dynamics": "b968c5793cfe7d5b112c176ed3251428698b958b6bcddfb220be4dbcbc564fc1",
+    # id: (subcommand, theta or None, sha256)
+    "phase": ("phase", "0.7853981633974483",
+              "2265b7114f1fc775c823d6d328c47e69c2ff197d19f9bf5de0653154ee76114b"),
+    "phase-theta0": ("phase", "0", POLE_STATE_PHASE_SHA256),
+    "phase-thetapi": ("phase", "3.141592653589793", POLE_STATE_PHASE_SHA256),
+    "nonmarkov": ("nonmarkov", None,
+                  "23d94c3934437468c6fe38d5823b698e2b32ebf951ca47ed43b81824ecb05ce6"),
+    "dynamics": ("dynamics", "0.7853981633974483",
+                 "b968c5793cfe7d5b112c176ed3251428698b958b6bcddfb220be4dbcbc564fc1"),
 }
 
 
-@pytest.mark.parametrize("subcommand", sorted(README_SERIES_SHA256))
-def test_readme_series_csv_bytes_pinned(tmp_path, subcommand):
-    out = tmp_path / f"{subcommand}.csv"
-    theta = [] if subcommand == "nonmarkov" else ["--theta", "0.7853981633974483"]
-    args = [subcommand, "--gamma-w", "0.9", "--kappa", "0.43", *theta,
+@pytest.mark.parametrize("case", sorted(README_SERIES_SHA256))
+def test_readme_series_csv_bytes_pinned(tmp_path, case):
+    subcommand, theta, sha256 = README_SERIES_SHA256[case]
+    out = tmp_path / f"{case}.csv"
+    theta_args = [] if theta is None else ["--theta", theta]
+    args = [subcommand, "--gamma-w", "0.9", "--kappa", "0.43", *theta_args,
             "--t-max", "20", "--dt", "0.001", "--out", str(out)]
     assert run(args) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_SERIES_SHA256[subcommand]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_sweep_csv_contents(tmp_path):

@@ -14,19 +14,18 @@ from nmgeo import (
     expectations_sigma,
     f_ode_oracle,
     f_w_closed_form,
-    f_w_from_f_z,
     f_z_from_g,
     find_g_roots,
     g_ode_oracle,
     initial_state,
     non_markovianity,
     qfi_series,
-    qfi_theta,
     solve_g,
     trace_distance,
 )
 
 from conftest import EXCEPTION_POINT, MARKOV_POINT
+from oracles import evolve_lindblad, f_w_from_f_z
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +200,7 @@ def test_numeric_integrator_agrees_with_g_route(ref_params, ref_gsol):
         return complex(-gp[0] / (kappa * g[0]))
 
     rho0 = initial_state(0.9).density_matrix()
-    by_fz = evolve_master_equation(ref_params, rho0, grid, f_z=fz_at)
+    by_fz = evolve_lindblad(ref_params, rho0, grid, fz_at)
     by_g = evolve_master_equation(ref_params, rho0, grid, gsol=ref_gsol)
     for ch in ("rho_ee", "rho_eg", "rho_gg"):
         assert np.max(np.abs(by_fz[ch] - by_g[ch])) < 1e-7
@@ -214,7 +213,7 @@ def test_numeric_integrator_from_sampled_series(ref_params, ref_gsol):
     grid = GridSpec.uniform(3.0, 0.002)
     fz = f_z_from_g(ref_gsol, grid).series
     rho0 = initial_state(0.9).density_matrix()
-    by_fz = evolve_master_equation(ref_params, rho0, grid, f_z=fz)
+    by_fz = evolve_lindblad(ref_params, rho0, grid, fz)
     by_g = evolve_master_equation(ref_params, rho0, grid, gsol=ref_gsol)
     for ch in ("rho_ee", "rho_eg", "rho_gg"):
         assert np.max(np.abs(by_fz[ch] - by_g[ch])) < 1e-7
@@ -370,8 +369,9 @@ def test_sign_lock_between_abs_g_slope_and_f_z(ref_gsol):
 # ---------------------------------------------------------------------------
 
 def test_qfi_initial_value_is_four(ref_params, rng):
+    at_zero = GridSpec(dt=1.0, n_steps=1)  # single-time QFI: the first sample, t = 0
     for theta in rng.uniform(0.1, 1.4, 5):
-        assert qfi_theta(ref_params, theta, 0.0) == pytest.approx(4.0, abs=1e-9)
+        assert qfi_series(ref_params, theta, at_zero)[0] == pytest.approx(4.0, abs=1e-9)
 
 
 def test_qfi_constant_under_free_evolution():
@@ -383,7 +383,8 @@ def test_qfi_constant_under_free_evolution():
 
 def test_qfi_bloch_convention_initial_value(ref_params):
     # half-angle parametrization moves at half speed: F(0) = 1
-    assert qfi_theta(ref_params, 0.8, 0.0, convention=BLOCH_CONVENTION) == pytest.approx(
+    at_zero = GridSpec(dt=1.0, n_steps=1)
+    assert qfi_series(ref_params, 0.8, at_zero, convention=BLOCH_CONVENTION)[0] == pytest.approx(
         1.0, abs=1e-9
     )
 

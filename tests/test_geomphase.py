@@ -8,11 +8,9 @@ from nmgeo import (
     ModelParams,
     beta_imag_at,
     divergence_report,
-    dynamical_phase,
     find_g_roots,
     geometric_phase,
     solve_g,
-    total_phase,
 )
 
 from conftest import EXCEPTION_POINT
@@ -20,8 +18,7 @@ from conftest import EXCEPTION_POINT
 
 def test_total_phase_starts_at_zero(ref_params, ref_gsol):
     grid = GridSpec.uniform(5.0, 0.01)
-    g = ref_gsol.g(grid.times())
-    phi = total_phase(ref_params, 0.7, g, grid)
+    phi = geometric_phase(ref_params, 0.7, grid, gsol=ref_gsol).series["phi_T"]
     assert abs(phi[0]) < 1e-12
 
 
@@ -30,7 +27,7 @@ def test_total_phase_pole_state_substitution(ref_params, ref_gsol):
     grid = GridSpec.uniform(4.0, 0.01)
     ts = grid.times()
     g = ref_gsol.g(ts)
-    phi = total_phase(ref_params, 0.0, g, grid)
+    phi = geometric_phase(ref_params, 0.0, grid, gsol=ref_gsol).series["phi_T"]
     expected = -1j * np.log(g.astype(complex)) - 0.5 * ref_params.omega * ts
     assert np.max(np.abs(phi - expected)) < 1e-12
 
@@ -41,8 +38,8 @@ def test_total_phase_imag_blows_up_at_first_root(ref_params, ref_gsol):
     vals = []
     for eps in offsets:
         grid = GridSpec(dt=t_root - eps, n_steps=1)
-        g = ref_gsol.g(grid.times())
-        vals.append(abs(total_phase(ref_params, math.pi / 4, g, grid)[1].imag))
+        phi = geometric_phase(ref_params, math.pi / 4, grid, gsol=ref_gsol).series["phi_T"]
+        vals.append(abs(phi[1].imag))
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] > 5.0
 
@@ -50,11 +47,10 @@ def test_total_phase_imag_blows_up_at_first_root(ref_params, ref_gsol):
 def test_dynamical_phase_values(ref_params, ref_gsol):
     grid = GridSpec.uniform(10.0, 0.01)
     ts = grid.times()
-    g = ref_gsol.g(ts)
-    phi = dynamical_phase(ref_params, 0.7, g, grid)
+    phi = geometric_phase(ref_params, 0.7, grid, gsol=ref_gsol).series["phi_d"]
     assert abs(phi[0]) < 1e-12
     # theta = pi: phi_d = omega t / 2 exactly, independent of g
-    phi_pi = dynamical_phase(ref_params, math.pi, g, grid)
+    phi_pi = geometric_phase(ref_params, math.pi, grid, gsol=ref_gsol).series["phi_d"]
     assert np.max(np.abs(phi_pi - 0.5 * ref_params.omega * ts)) < 1e-12
 
 
@@ -64,7 +60,7 @@ def test_dynamical_phase_pole_state_finite_at_g_zero(ref_params, ref_gsol):
     grid = GridSpec(dt=t_root / 2, n_steps=2)
     g = ref_gsol.g(grid.times())
     assert abs(g[2]) < 1e-12
-    phi = dynamical_phase(ref_params, math.pi, g, grid)
+    phi = geometric_phase(ref_params, math.pi, grid, gsol=ref_gsol).series["phi_d"]
     assert np.all(np.isfinite(phi.real))
     assert phi[2] == pytest.approx(0.5 * ref_params.omega * t_root)
 
@@ -73,8 +69,7 @@ def test_dynamical_phase_free_system():
     p = ModelParams(kappa=0.0, gamma_w=0.9)
     grid = GridSpec.uniform(10.0, 0.01)
     ts = grid.times()
-    g = np.ones(ts.size)
-    phi = dynamical_phase(p, 0.6, g, grid)
+    phi = geometric_phase(p, 0.6, grid).series["phi_d"]
     assert np.max(np.abs(phi.imag)) < 1e-15
     assert np.allclose(phi.real, -0.5 * ts * math.cos(0.6))
 
@@ -170,3 +165,28 @@ def test_pole_samples_marked(ref_params, ref_gsol):
     assert pole[2]
     assert np.isnan(ps.series["beta_I"][2])
     assert np.isfinite(ps.series["beta_I"][1])
+
+
+def test_pole_state_phases_one_closed_form(ref_params, ref_gsol):
+    # theta in {0, pi}: phi_T = phi_d = -omega t cos(th)/2 - i/2 (1 + cos th) log g,
+    # beta = 0 and no pole samples, also on a sample that lands on a zero of g
+    t_root = find_g_roots(ref_gsol, 6.0)[0]
+    grid = GridSpec(dt=t_root / 2, n_steps=4)
+    ts = grid.times()
+    g = ref_gsol.g(ts)
+    assert abs(g[2]) < 1e-12
+    for theta in (0.0, math.pi):
+        ps = geometric_phase(ref_params, theta, grid, gsol=ref_gsol)
+        phi_t, phi_d = ps.series["phi_T"], ps.series["phi_d"]
+        np.testing.assert_array_equal(phi_t, phi_d)
+        assert np.all(ps.series["beta"] == 0.0)
+        assert not np.any(ps.series["pole"])
+        assert ps.divergence_times == [] and ps.eta_windings == []
+    # theta = 0 diverges at the zero of g; theta = pi has no log g term
+    ok = np.abs(g) > 1e-12
+    expected = -0.5 * ref_params.omega * ts[ok] - 1j * np.log(g[ok].astype(complex))
+    phi_0 = geometric_phase(ref_params, 0.0, grid, gsol=ref_gsol).series["phi_T"]
+    assert np.max(np.abs(phi_0[ok] - expected)) < 1e-12
+    assert np.isnan(phi_0[2])
+    phi_pi = geometric_phase(ref_params, math.pi, grid, gsol=ref_gsol).series["phi_T"]
+    assert np.max(np.abs(phi_pi - 0.5 * ref_params.omega * ts)) < 1e-12
