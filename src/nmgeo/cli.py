@@ -53,6 +53,10 @@ SERIES_COLUMNS = [
 ]
 SWEEP_COLUMNS = ["gamma_w", "kappa", "region", "t_first_divergence", "N_total", "error"]
 
+# larger grids are refused before anything is allocated
+_MAX_SERIES_SAMPLES = 10**7
+_MAX_SWEEP_CELLS = 10**6
+
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -200,7 +204,8 @@ def load_config(path: str, subcommand: str | None = None) -> dict:
     return cfg
 
 
-def _parse_range(text: str, name: str) -> np.ndarray:
+def _range_spec(text: str, name: str) -> tuple[float, float, int]:
+    """(start, step, number of points) of a start:stop:step range."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{name} must be start:stop:step, got {text!r}")
@@ -208,9 +213,15 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         a, b, s = (float(x) for x in parts)
     except ValueError as exc:
         raise ConfigError(f"{name}: non-numeric bound in {text!r}") from exc
-    if s <= 0.0 or b < a:
-        raise ConfigError(f"{name}: need start <= stop and step > 0, got {text!r}")
-    n = int(math.floor((b - a) / s + 0.5)) + 1
+    if not (s > 0.0 and a <= b and math.isfinite((b - a) / s)):
+        raise ConfigError(
+            f"{name}: need start <= stop, step > 0 and a finite point count, got {text!r}"
+        )
+    return a, s, int(math.floor((b - a) / s + 0.5)) + 1
+
+
+def _parse_range(text: str, name: str) -> np.ndarray:
+    a, s, n = _range_spec(text, name)
     return a + s * np.arange(n)
 
 
@@ -324,12 +335,20 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.subcommand == "sweep":
         if not cfg.gamma_w_range or not cfg.kappa_range:
             raise ConfigError("sweep requires --gamma-w-range and --kappa-range")
-        _parse_range(cfg.gamma_w_range, "--gamma-w-range")
-        _parse_range(cfg.kappa_range, "--kappa-range")
-    if cfg.subcommand == "boundaries":
+        n_cells = (
+            _range_spec(cfg.gamma_w_range, "--gamma-w-range")[2]
+            * _range_spec(cfg.kappa_range, "--kappa-range")[2]
+        )
+        if n_cells > _MAX_SWEEP_CELLS:
+            raise ConfigError(f"sweep of {n_cells} cells exceeds {_MAX_SWEEP_CELLS}")
+    elif cfg.subcommand == "boundaries":
         if not cfg.gamma_w_range:
             cfg.gamma_w_range = "0.05:3.0:0.05"
-        _parse_range(cfg.gamma_w_range, "--gamma-w-range")
+        _range_spec(cfg.gamma_w_range, "--gamma-w-range")
+    elif cfg.t_max / cfg.dt + 1.0 > _MAX_SERIES_SAMPLES:
+        raise ConfigError(
+            f"t_max/dt + 1 = {cfg.t_max / cfg.dt + 1.0:.6g} samples exceeds {_MAX_SERIES_SAMPLES}"
+        )
     if cfg.subcommand == "qsd" and cfg.n_traj < 100:
         raise ConfigError("qsd needs --n-traj >= 100")
     return cfg
@@ -402,11 +421,12 @@ def _run_qfi(cfg: RunConfig):
 def _run_sweep(cfg: RunConfig):
     gammas = _parse_range(cfg.gamma_w_range, "--gamma-w-range")
     kappas = _parse_range(cfg.kappa_range, "--kappa-range")
-    cells = sweep(gammas, kappas, cfg.t_max, dt=cfg.dt)
+    cells = sweep(gammas, kappas, cfg.t_max)
     extras = {
         "n_gamma": len(gammas),
         "n_kappa": len(kappas),
         "region_counts": dict(Counter(c.region for c in cells)),
+        "error_types": dict(Counter(c.error_type for c in cells if c.error_type is not None)),
     }
     return cells, extras
 

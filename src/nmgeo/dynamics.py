@@ -19,7 +19,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure, ValidationError
-from .gfunction import GSolution, _bisect, _sign_brackets, find_g_roots, solve_g
+from .gfunction import (
+    GSolution,
+    _bisect,
+    _scan_intervals,
+    _sign_brackets,
+    find_g_roots,
+    solve_g,
+)
 from .model import DensityMatrix2, GridSpec, ModelParams, TimeSeries, validate_params
 
 FROM_G = "from-g"
@@ -202,11 +209,7 @@ def non_markovianity(p: ModelParams, t_max: float, dt: float = 0.01) -> NonMarko
     """
     validate_params(p)
     sol = solve_g(p)
-    return _non_markovianity(sol, t_max, dt, find_g_roots(sol, t_max))
-
-
-def _non_markovianity(sol: GSolution, t_max: float, dt: float, roots: list) -> NonMarkovReport:
-    """non_markovianity of a solved g whose roots in (0, t_max] are already known."""
+    roots = find_g_roots(sol, t_max)
     grid = GridSpec.uniform(t_max, dt)
     g = sol.eval(grid.times())[0]
     absg = np.abs(g)
@@ -220,8 +223,7 @@ def _non_markovianity(sol: GSolution, t_max: float, dt: float, roots: list) -> N
 def _backflow_windows(sol: GSolution, t_max: float, roots: list) -> list:
     """Maximal intervals of (0, t_max) where g * g' > 0, edges refined."""
     bounds = [0.0, *roots]
-    step = sol.scan_step()
-    ts = np.linspace(0.0, t_max, int(math.ceil(t_max / step)) + 1)
+    ts = np.linspace(0.0, t_max, _scan_intervals(sol, t_max) + 1)
     _, flips = _sign_brackets(sol, ts, 1)
     bounds += _bisect(sol, 1, ts[flips], ts[flips + 1]).tolist()
     bounds.append(t_max)

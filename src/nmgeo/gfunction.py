@@ -219,6 +219,49 @@ def solve_g(p: ModelParams) -> GSolution:
     return GSolution(params=p, method=ROOT_SUM, roots=roots, weights=weights)
 
 
+class _ModalCells:
+    """Root-sum cells in the real modal form, evaluated at (time, cell) pairs.
+
+    Cell c holds
+
+        g = w0 e^{r0 t} + e^{r1 t} (A cos(b t) + B sin(b t)) + w2 e^{r2 t}
+
+    with r = x/2: the real root and the conjugate pair r1 +- i b (w2 = 0), or
+    three real roots (b = 0, B = 0).  g' and g'' share the exponentials and
+    cos/sin and differ only in their weights.  Every value is computed
+    elementwise, so a cell's values do not depend on the cells held with it.
+    """
+
+    def __init__(self, sols: list[GSolution]):
+        # rows: r0, r1, r2, b, then the weights of w0, A, B, w2 for g, g', g''
+        self._params = np.zeros((16, len(sols)))
+        rates, freq = self._params[:3], self._params[3]
+        weights = self._params[4:].reshape(4, 3, -1)
+        for c, sol in enumerate(sols):
+            half = sol.roots / 2.0
+            w = np.array(sol._mode_weights).T  # mode x derivative order
+            pair = np.nonzero(half.imag > 0.0)[0]
+            if pair.size:
+                k, r = pair[0], np.nonzero(half.imag == 0.0)[0][0]
+                rates[:2, c] = half[r].real, half[k].real
+                freq[c] = half[k].imag
+                weights[:3, :, c] = w[r].real, 2.0 * w[k].real, -2.0 * w[k].imag
+            else:
+                rates[:, c] = half.real
+                weights[[0, 1, 3], :, c] = w.real
+
+    def eval(self, t: np.ndarray, cell: np.ndarray):
+        """(g, g', g'') at the times t[i] of the cells cell[i]."""
+        p = self._params
+        e = np.exp(p[:3].take(cell, axis=1) * t)
+        bt = p[3].take(cell) * t
+        basis = (e[0], e[1] * np.cos(bt), e[1] * np.sin(bt), e[2])
+        out = p[4:7].take(cell, axis=1) * basis[0]
+        for k in (1, 2, 3):
+            out += p[4 + 3 * k : 7 + 3 * k].take(cell, axis=1) * basis[k]
+        return out[0], out[1], out[2]
+
+
 def _g_rhs(t, y, gw, Gw, k2):
     return [y[1], y[2], -gw * y[2] - 0.5 * (gw * Gw + 2.0 * k2) * y[1] - gw * k2 * y[0]]
 
@@ -292,16 +335,24 @@ def _sign_brackets(sol: GSolution, ts: np.ndarray, order: int):
 def _bisect(sol: GSolution, order: int, lo, hi) -> np.ndarray:
     """Zeros of g^(order) in the brackets [lo[j], hi[j]], bisected all together.
 
-    Per bracket, mid = (lo + hi)/2 is the zero once hi - lo < 1e-12 or
-    g^(order)(mid) == 0 (the bracket then collapses onto it), else the half
-    whose sign differs from that at lo is kept, for at most 200 halvings.
     Single-time values (see GSolution.eval) make each zero bitwise the one
     found bisecting its bracket alone.
     """
-    f = lambda t: sol.eval(t[:, None])[order][:, 0]
+    return _bisect_brackets(lambda t, j: sol.eval(t[:, None])[order][:, 0], lo, hi)
+
+
+def _bisect_brackets(f, lo, hi) -> np.ndarray:
+    """Zeros in the brackets [lo[j], hi[j]] of the functions f(t, j), bisected together.
+
+    f(t, j) gives, for each bracket index in the array j, its function at
+    the time in t.  Per bracket, mid = (lo + hi)/2 is the zero once
+    hi - lo < 1e-12 or f(mid) == 0 (the bracket then collapses onto it),
+    else the half whose sign differs from that at lo is kept, for at most
+    200 halvings.
+    """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    flo = f(lo)
+    flo = f(lo, np.arange(lo.size))
     neg = flo < 0.0
     hi[flo == 0.0] = lo[flo == 0.0]
     for _ in range(200):
@@ -309,12 +360,19 @@ def _bisect(sol: GSolution, order: int, lo, hi) -> np.ndarray:
         if not live.size:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        fm = f(mid)
+        fm = f(mid, live)
         hit = fm == 0.0
         same = (fm < 0.0) == neg[live]
         lo[live[same | hit]] = mid[same | hit]
         hi[live[~same | hit]] = mid[~same | hit]
     return 0.5 * (lo + hi)
+
+
+def _scan_intervals(sol: GSolution, t_max: float) -> int:
+    """Number of steps of the root-scan grid np.linspace(0, t_max, n + 1)."""
+    if not (t_max > 0.0):
+        raise ValueError(f"t_max must be > 0, got {t_max}")
+    return int(math.ceil(t_max / sol.scan_step()))
 
 
 def find_g_roots(sol: GSolution, t_max: float) -> list[float]:
@@ -323,10 +381,7 @@ def find_g_roots(sol: GSolution, t_max: float) -> list[float]:
     Tangential touches (no sign change) are not reported; an empty list is
     a valid result.
     """
-    if not (t_max > 0.0):
-        raise ValueError(f"t_max must be > 0, got {t_max}")
-    step = sol.scan_step()
-    n = int(math.ceil(t_max / step))
+    n = _scan_intervals(sol, t_max)
     ts = np.linspace(0.0, t_max, n + 1)
     sign, flips = _sign_brackets(sol, ts, 0)
     roots = _bisect(sol, 0, ts[flips], ts[flips + 1]).tolist()

@@ -15,9 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _non_markovianity
 from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
-from .gfunction import _bisect, _sign_brackets, find_g_roots, solve_g
+from .gfunction import (
+    ROOT_SUM,
+    GSolution,
+    _bisect,
+    _bisect_brackets,
+    _ModalCells,
+    _scan_intervals,
+    _sign_brackets,
+    solve_g,
+)
 from .model import ModelParams
 
 GREEN_BLUE_JOIN = 27.0 / 16.0
@@ -32,6 +40,9 @@ N_THRESHOLD = 1e-6
 # tangency: first-lobe scan window and samples, Newton tolerance and steps
 _T_SCAN, _N_SCAN = 60.0, 2500
 _NEWTON_TOL, _NEWTON_ITER = 1e-10, 60
+
+# scan points one block of sweep cells holds; bounds the sweep's memory
+_BLOCK_POINTS = 2**15
 
 
 def green_boundary(gamma_w: float) -> float:
@@ -247,7 +258,10 @@ def _continued(gamma_w: float, done: list[TangencyPoint]) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class PhaseCell:
-    """Classification record of one (gamma_w, kappa) grid point."""
+    """Classification record of one (gamma_w, kappa) grid point.
+
+    error and error_type (the exception's class name) are set on ERR cells.
+    """
 
     gamma_w: float
     kappa: float
@@ -255,50 +269,160 @@ class PhaseCell:
     t_first_divergence: float | None
     n_total: float
     error: str | None = None
+    error_type: str | None = None
 
 
-def classify_point(
-    gamma_w: float,
-    kappa: float,
-    t_max: float = 200.0,
-    *,
-    dt: float = 0.01,
-) -> PhaseCell:
+def classify_point(gamma_w: float, kappa: float, t_max: float = 200.0) -> PhaseCell:
     """Classify one parameter point by g-roots and accumulated backflow.
 
     Roots in (0, t_max] => NM_DIV with the first root time; otherwise
-    N_total > N_THRESHOLD => NM_NODIV, else M.
+    N_total > N_THRESHOLD => NM_NODIV, else M.  This is sweep's code on a
+    one-cell block; see _classify for how roots and N_total are found.
     """
     sol = solve_g(_params(gamma_w, kappa))
-    roots = find_g_roots(sol, t_max)
-    report = _non_markovianity(sol, t_max, dt, roots)
-    if roots:
-        region = REGION_DIVERGENT
-        t_first = roots[0]
-    elif report.n_total > N_THRESHOLD:
-        region, t_first = REGION_NONDIVERGENT, None
-    else:
-        region, t_first = REGION_MARKOV, None
-    return PhaseCell(gamma_w, kappa, region, t_first, report.n_total)
+    return _record(gamma_w, kappa, *_classify([sol], t_max)[0])
 
 
-def sweep(
-    gamma_values,
-    kappa_values,
-    t_max: float = 200.0,
-    *,
-    dt: float = 0.01,
-) -> list[PhaseCell]:
+def sweep(gamma_values, kappa_values, t_max: float = 200.0) -> list[PhaseCell]:
     """Classify every (gamma_w, kappa) grid node, row-major in gamma then kappa.
 
-    Per-cell failures are recorded in the cell (region ERR) and never abort
-    the sweep.
+    Root-sum cells are classified together in blocks of at most
+    _BLOCK_POINTS scan points (a larger cell alone); ODE-fallback and Markov
+    cells one at a time.  Each cell's record equals classify_point's.
+    Per-cell failures are recorded in the cell (region ERR), a failure of a
+    whole block in each of its cells, and never abort the sweep.
     """
-    cells = []
-    for g in gamma_values:
-        for k in kappa_values:
-            try:
-                cells.append(classify_point(g, k, t_max, dt=dt))
-            except Exception as exc:  # recorded, not raised
-                cells.append(PhaseCell(g, k, REGION_ERROR, None, math.nan, error=str(exc)))
+    points = [(g, k) for g in gamma_values for k in kappa_values]
+    cells: list = [None] * len(points)
+    block, held = [], 0
+    for i, (g, k) in enumerate(points):
+        try:
+            sol = solve_g(_params(g, k))
+            size = _scan_intervals(sol, t_max) + 1
+        except Exception as exc:  # recorded, not raised
+            cells[i] = _error_record(g, k, exc)
+            continue
+        if sol.method != ROOT_SUM:
+            _classify_into(cells, points, [(i, sol)], t_max)
+            continue
+        if block and held + size > _BLOCK_POINTS:
+            _classify_into(cells, points, block, t_max)
+            block, held = [], 0
+        block.append((i, sol))
+        held += size
+    if block:
+        _classify_into(cells, points, block, t_max)
     return cells
+
+
+def _classify_into(cells: list, points: list, block: list, t_max: float):
+    """Classify the (index, solution) pairs of one block into cells[index]."""
+    try:
+        results = _classify([sol for _, sol in block], t_max)
+    except Exception as exc:  # recorded in each cell of the block, not raised
+        for i, _ in block:
+            cells[i] = _error_record(*points[i], exc)
+        return
+    for (i, _), result in zip(block, results):
+        cells[i] = _record(*points[i], *result)
+
+
+def _record(gamma_w, kappa, t_first: float | None, n_total: float) -> PhaseCell:
+    if t_first is not None:
+        region = REGION_DIVERGENT
+    elif n_total > N_THRESHOLD:
+        region = REGION_NONDIVERGENT
+    else:
+        region = REGION_MARKOV
+    return PhaseCell(gamma_w, kappa, region, t_first, n_total)
+
+
+def _error_record(gamma_w, kappa, exc: Exception) -> PhaseCell:
+    return PhaseCell(
+        gamma_w, kappa, REGION_ERROR, None, math.nan, error=str(exc), error_type=type(exc).__name__
+    )
+
+
+def _classify(sols: list[GSolution], t_max: float) -> list[tuple[float | None, float]]:
+    """(first zero of g in (0, t_max] or None, N_total) of each cell, found together.
+
+    Root-sum cells are evaluated by one stacked real modal kernel; any
+    other g comes alone and is evaluated by its GSolution.eval.  Each cell
+    scans g and g'' on find_g_roots' grid, and one bisection refines every
+    sign change of both.  g' is monotone between consecutive zeros of g''
+    (with 0 and t_max as the outer ends), so its zeros are bracketed there,
+    which also catches lobes of g' narrower than the scan step.  N_total is
+    the sum of the rises of |g| between consecutive critical points
+    {0, zeros of g, zeros of g', t_max}: exact, with no time grid.
+    """
+    if sols[0].method == ROOT_SUM:
+        f = _ModalCells(sols).eval
+    else:
+        f = lambda t, cell: sols[0].eval(t)
+    n_cells = len(sols)
+    ids = np.arange(n_cells)
+
+    # the grids np.linspace(0, t_max, n + 1), one after another
+    n = np.array([_scan_intervals(sol, t_max) for sol in sols])
+    cell = np.repeat(ids, n + 1)
+    first = np.cumsum(n + 1) - (n + 1)
+    t = (np.arange(cell.size) - first[cell]) * (t_max / n)[cell]
+    t[first + n] = t_max
+    g, _, gpp = f(t, cell)
+
+    # sign changes of g and g'' on the grids, bisected together
+    (ig, kg), (i2, k2) = _sign_changes(g, cell), _sign_changes(gpp, cell)
+    i = np.concatenate([ig, i2])
+    of_g, owner = np.arange(i.size) < ig.size, cell[i]
+
+    def g_or_gpp(tm, j):
+        v = f(tm, owner[j])
+        return np.where(of_g[j], v[0], v[2])
+
+    z = _bisect_brackets(g_or_gpp, t[i], t[i + 1])
+    zg, zg_cell = np.concatenate([z[of_g], t[kg]]), np.concatenate([owner[of_g], cell[kg]])
+    z2, z2_cell = np.concatenate([z[~of_g], t[k2]]), np.concatenate([owner[~of_g], cell[k2]])
+
+    # g' between consecutive zeros of g'': monotone, so one sign change at most
+    ends, end_cell = _sorted_by_cell(
+        [np.zeros(n_cells), z2, np.full(n_cells, t_max)], [ids, z2_cell, ids]
+    )
+    j, k1 = _sign_changes(f(ends, end_cell)[1], end_cell)
+    zp = _bisect_brackets(lambda tm, m: f(tm, end_cell[j[m]])[1], ends[j], ends[j + 1])
+
+    crit, crit_cell = _sorted_by_cell(
+        [np.zeros(n_cells), zg, zp, ends[k1], np.full(n_cells, t_max)],
+        [ids, zg_cell, end_cell[j], end_cell[k1], ids],
+    )
+    rise = np.maximum(np.diff(np.abs(f(crit, crit_cell)[0])), 0.0)
+    same = crit_cell[:-1] == crit_cell[1:]
+    n_total = np.bincount(crit_cell[:-1][same], weights=rise[same], minlength=n_cells)
+
+    t_first = np.full(n_cells, np.inf)
+    np.minimum.at(t_first, zg_cell, zg)
+    return [
+        (None if math.isinf(tf) else float(tf), float(nt)) for tf, nt in zip(t_first, n_total)
+    ]
+
+
+def _sign_changes(values: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where values, sampled in order per cell, change sign within one cell.
+
+    Returns the indices i whose sign differs from that at i + 1, and the
+    indices k of samples exactly at zero between neighbours of opposite
+    sign (find_g_roots counts those as zeros).
+    """
+    sign = np.sign(values)
+    same = cell[:-1] == cell[1:]
+    i = np.nonzero((sign[:-1] * sign[1:] < 0.0) & same)[0]
+    k = 1 + np.nonzero(
+        (sign[1:-1] == 0.0) & (sign[:-2] * sign[2:] < 0.0) & same[:-1] & same[1:]
+    )[0]
+    return i, k
+
+
+def _sorted_by_cell(times: list, cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated times and their cells, sorted by cell, then time."""
+    t, c = np.concatenate(times), np.concatenate(cells)
+    order = np.lexsort((t, c))
+    return t[order], c[order]

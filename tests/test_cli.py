@@ -335,6 +335,44 @@ def test_sweep_csv_via_cli(tmp_path):
     assert len(rows) == 7  # header + 3 * 2 cells
     regions = {r[2] for r in rows[1:]}
     assert regions <= {"M", "NM_DIV", "NM_NODIV"}
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert sum(manifest["region_counts"].values()) == 6
+    assert manifest["error_types"] == {}
+
+
+def test_sweep_manifest_counts_error_types(tmp_path):
+    out = tmp_path / "s.csv"
+    code = run([
+        "sweep", "--gamma-w-range=-0.1:0.1:0.1", "--kappa-range=-0.1:0.1:0.2",
+        "--t-max", "20", "--out", str(out),
+    ])
+    assert code == 0
+    rows = _read_csv(out)
+    assert [r[2] for r in rows[1:]] == ["ERR"] * 5 + ["NM_NODIV"]
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert manifest["region_counts"] == {"ERR": 5, "NM_NODIV": 1}
+    assert manifest["error_types"] == {"NonPositiveRate": 4, "NegativeCoupling": 1}
+
+
+def test_oversize_series_grid_refused_before_running(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    # 2e7 + 1 samples; the README recipes use 20,001
+    code = run(["gfun", "--t-max", "20", "--dt", "1e-6", "--out", str(out)])
+    assert code == 2
+    assert "exceeds 10000000" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "g.csv.manifest.json").exists()
+
+
+def test_oversize_sweep_refused_before_running(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    # 3,001 x 1,001 cells; the README sweep has 18,000
+    code = run([
+        "sweep", "--gamma-w-range", "0.0:3.0:0.001", "--kappa-range", "0.0:1.0:0.001",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "3004001 cells exceeds 1000000" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "s.csv.manifest.json").exists()
 
 
 def test_boundaries_csv(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,8 +228,120 @@ def test_sweep_records_errors_per_cell():
     cells = sweep([-1.0, 0.9], [0.1], t_max=20.0)
     assert cells[0].region == REGION_ERROR
     assert cells[0].error
+    assert cells[0].error_type == "NonPositiveRate"
     assert math.isnan(cells[0].n_total)
     assert cells[1].region == REGION_MARKOV
+    assert cells[1].error is None and cells[1].error_type is None
+
+
+# the 31 x 21 sub-grid 0.02:3.0:0.1 x 0.005:0.6:0.03 of the README sweep box
+README_GAMMAS = 0.02 + 0.1 * np.arange(31)
+README_KAPPAS = 0.005 + 0.03 * np.arange(21)
+
+# regions at t_max = 200 (M, N = NM_NODIV, D = NM_DIV), one row per gamma_w,
+# as classified from N_total on a dt = 0.01 grid before the exact sum
+README_REGIONS = [
+    "NNNDDDDDDDDDDDDDDDDDD",  # gamma_w = 0.02
+    "MMMNNNDDDDDDDDDDDDDDD",  # gamma_w = 0.12
+    "MMMMMNNNDDDDDDDDDDDDD",  # gamma_w = 0.22
+    "MMMMMMMNNDDDDDDDDDDDD",  # gamma_w = 0.32
+    "MMMMMMMMMNDDDDDDDDDDD",  # gamma_w = 0.42
+    "MMMMMMMMMMNDDDDDDDDDD",  # gamma_w = 0.52
+    "MMMMMMMMMMMNDDDDDDDDD",  # gamma_w = 0.62
+    "MMMMMMMMMMMNDDDDDDDDD",  # gamma_w = 0.72
+    "MMMMMMMMMMMMDDDDDDDDD",  # gamma_w = 0.82
+    "MMMMMMMMMMMMNDDDDDDDD",  # gamma_w = 0.92
+    "MMMMMMMMMMMMNDDDDDDDD",  # gamma_w = 1.02
+    "MMMMMMMMMMMMMDDDDDDDD",  # gamma_w = 1.12
+    "MMMMMMMMMMMMMDDDDDDDD",  # gamma_w = 1.22
+    "MMMMMMMMMMMMMDDDDDDDD",  # gamma_w = 1.32
+    "MMMMMMMMMMMMDDDDDDDDD",  # gamma_w = 1.42
+    "MMMMMMMMMMMMDDDDDDDDD",  # gamma_w = 1.52
+    "MMMMMMMMMMMMDDDDDDDDD",  # gamma_w = 1.62
+    "MMMMMMMMMMMDDDDDDDDDD",  # gamma_w = 1.72
+    "MMMMMMMMMMMDDDDDDDDDD",  # gamma_w = 1.82
+    *["MMMMMMMMMMDDDDDDDDDDD"] * 12,  # gamma_w = 1.92 ... 3.02
+]
+
+
+@pytest.fixture(scope="module")
+def readme_sweep():
+    """(cells, tracemalloc peak in bytes) of the README sub-grid sweep at t_max = 200."""
+    tracemalloc.start()
+    try:
+        cells = sweep(README_GAMMAS, README_KAPPAS, t_max=200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return cells, peak
+
+
+def test_sweep_readme_subgrid_regions_pinned(readme_sweep):
+    cells, _ = readme_sweep
+    code = {REGION_MARKOV: "M", REGION_NONDIVERGENT: "N", REGION_DIVERGENT: "D"}
+    regions = "".join(code[c.region] for c in cells)
+    assert [regions[21 * i : 21 * (i + 1)] for i in range(31)] == README_REGIONS
+
+
+def test_sweep_memory_is_bounded_by_blocks(readme_sweep):
+    assert readme_sweep[1] < 16e6
+
+
+def test_sweep_cells_equal_classify_point_alone(readme_sweep):
+    # blocks share numpy work but every value is elementwise: a cell's
+    # record does not depend on the cells classified with it
+    cells, _ = readme_sweep
+    alone = [classify_point(g, k, t_max=200.0) for g in README_GAMMAS for k in README_KAPPAS]
+    assert cells == alone
+    # ODE fallback (gamma_w = 2, kappa = 0), Markov bath and root-sum cells together
+    gammas, kappas = [0.5, 2.0, math.inf], [0.0, 0.3, 0.43]
+    assert sweep(gammas, kappas, t_max=50.0) == [
+        classify_point(g, k, t_max=50.0) for g in gammas for k in kappas
+    ]
+
+
+def _oracle_n_total(gamma_w: float, kappa: float, t_max: float = 200.0) -> float:
+    """Sum of the rises of |g| between its critical points, from the ODE oracle.
+
+    Zeros of g and g' are sign changes on a 1e-3 grid.  |g| is 0 at a zero
+    of g and, at a zero of g', the vertex g - g'^2 / (2 g'') of the Taylor
+    parabola at the nearest sample, off by O(dt^3) (about 1e-12 here).
+    """
+    s = g_ode_oracle(ModelParams(kappa=kappa, gamma_w=gamma_w), GridSpec.uniform(t_max, 1e-3))
+    t, g, gp, gpp = s.t, s["g"], s["gp"], s["gpp"]
+    points = [(0.0, abs(g[0])), (t[-1], abs(g[-1]))]
+    for i in np.nonzero(g[:-1] * g[1:] < 0.0)[0]:
+        points.append((t[i] - g[i] / gp[i], 0.0))
+    for i in np.nonzero(gp[:-1] * gp[1:] < 0.0)[0]:
+        j = i if abs(gp[i]) < abs(gp[i + 1]) else i + 1
+        points.append((t[j] - gp[j] / gpp[j], abs(g[j] - gp[j] ** 2 / (2.0 * gpp[j]))))
+    values = [v for _, v in sorted(points)]
+    return float(sum(max(0.0, b - a) for a, b in zip(values[:-1], values[1:])))
+
+
+ORACLE_POINTS = [
+    (float(gw), float(k))
+    for gw, k in zip(
+        np.random.default_rng(11).uniform(0.05, 3.0, 20),
+        np.random.default_rng(12).uniform(0.01, 0.6, 20),
+    )
+] + [(0.5, 0.0), (2.0, 0.0), (2.0, 0.3)]
+
+
+@pytest.mark.parametrize("gamma_w,kappa", ORACLE_POINTS)
+def test_n_total_is_exact_critical_point_sum(gamma_w, kappa):
+    cell = classify_point(gamma_w, kappa, t_max=200.0)
+    assert abs(cell.n_total - _oracle_n_total(gamma_w, kappa)) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma_w", [0.2, 0.5, 1.0])
+def test_n_total_catches_narrow_gp_lobe_above_tangency(gamma_w):
+    # just above the tangency curve g' has one positive lobe narrower than
+    # the scan step; a scan of g' alone misses it and reports N_total = 0
+    kappa = tangency_boundary(gamma_w) * (1.0 + 1e-5)
+    cell = classify_point(gamma_w, kappa, t_max=200.0)
+    assert cell.n_total > 0.0
+    assert abs(cell.n_total - _oracle_n_total(gamma_w, kappa)) <= 1e-9
 
 
 def test_worker_count_env_var(monkeypatch):
