@@ -43,6 +43,9 @@ _NEWTON_TOL, _NEWTON_ITER = 1e-10, 60
 
 # scan points one block of sweep cells holds; bounds the sweep's memory
 _BLOCK_POINTS = 2**15
+# scan points evaluated at once: their temporaries stay in the CPU cache and
+# below the allocator's mmap threshold, so no scan faults in fresh pages
+_SCAN_CHUNK = 2**12
 
 
 def green_boundary(gamma_w: float) -> float:
@@ -362,26 +365,46 @@ def _classify(sols: list[GSolution], t_max: float) -> list[tuple[float | None, f
     n_cells = len(sols)
     ids = np.arange(n_cells)
 
-    # the grids np.linspace(0, t_max, n + 1), one after another
+    # the grids np.linspace(0, t_max, n + 1), one after another, sample k at
+    # (t(k), cell(k)); scanned in chunks whose temporaries stay in the cache
     n = np.array([_scan_intervals(sol, t_max) for sol in sols])
-    cell = np.repeat(ids, n + 1)
     first = np.cumsum(n + 1) - (n + 1)
-    t = (np.arange(cell.size) - first[cell]) * (t_max / n)[cell]
-    t[first + n] = t_max
-    g, _, gpp = f(t, cell)
+    step = t_max / n
+
+    def grid(k):
+        c = np.searchsorted(first, k, side="right") - 1
+        t = (k - first[c]) * step[c]
+        t[k == first[c] + n[c]] = t_max
+        return t, c
+
+    size = int(first[-1] + n[-1] + 1)
+    # a dense ODE fallback is integrated to twice the largest time it is asked for
+    chunk = _SCAN_CHUNK if sols[0].method == ROOT_SUM else size
+    found: list = [[], [], [], []]  # sign changes of g, zero samples of g, then of g''
+    for a in range(0, size, chunk):
+        width = min(chunk, size - a)
+        # two samples past the chunk, so sign changes across its end are seen once
+        t, c = grid(np.arange(a, min(a + width + 2, size)))
+        g, _, gpp = f(t, c)
+        for m, values in enumerate((g, gpp)):
+            i, k = _sign_changes(values, c)
+            found[2 * m].append(a + i[i < width])
+            found[2 * m + 1].append(a + k[k <= width])
+    ig, kg, i2, k2 = (np.concatenate(ks) for ks in found)
 
     # sign changes of g and g'' on the grids, bisected together
-    (ig, kg), (i2, k2) = _sign_changes(g, cell), _sign_changes(gpp, cell)
     i = np.concatenate([ig, i2])
-    of_g, owner = np.arange(i.size) < ig.size, cell[i]
+    (t_lo, owner), (t_hi, _) = grid(i), grid(i + 1)
+    of_g = np.arange(i.size) < ig.size
 
     def g_or_gpp(tm, j):
         v = f(tm, owner[j])
         return np.where(of_g[j], v[0], v[2])
 
-    z = _bisect_brackets(g_or_gpp, t[i], t[i + 1])
-    zg, zg_cell = np.concatenate([z[of_g], t[kg]]), np.concatenate([owner[of_g], cell[kg]])
-    z2, z2_cell = np.concatenate([z[~of_g], t[k2]]), np.concatenate([owner[~of_g], cell[k2]])
+    z = _bisect_brackets(g_or_gpp, t_lo, t_hi)
+    (tg, cg), (t2, c2) = grid(kg), grid(k2)
+    zg, zg_cell = np.concatenate([z[of_g], tg]), np.concatenate([owner[of_g], cg])
+    z2, z2_cell = np.concatenate([z[~of_g], t2]), np.concatenate([owner[~of_g], c2])
 
     # g' between consecutive zeros of g'': monotone, so one sign change at most
     ends, end_cell = _sorted_by_cell(

@@ -300,6 +300,15 @@ def test_sweep_cells_equal_classify_point_alone(readme_sweep):
     ]
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 5, 97])
+def test_sweep_scan_chunks_do_not_change_cells(monkeypatch, chunk):
+    # each sign change of g and g'' is found once, also across a chunk's end
+    gammas, kappas = [0.3, 0.9, 2.7], [0.05, 0.23, 0.43]
+    whole = sweep(gammas, kappas, t_max=60.0)
+    monkeypatch.setattr("nmgeo.phasediagram._SCAN_CHUNK", chunk)
+    assert sweep(gammas, kappas, t_max=60.0) == whole
+
+
 def _oracle_n_total(gamma_w: float, kappa: float, t_max: float = 200.0) -> float:
     """Sum of the rises of |g| between its critical points, from the ODE oracle.
 
