@@ -29,7 +29,6 @@ from .dynamics import (
 from .errors import (
     ConfigError,
     ConfigParseError,
-    DegenerateRoots,
     IntegrationFailure,
     NegativeCoupling,
     NegativeKappaSquared,

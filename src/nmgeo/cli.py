@@ -55,7 +55,7 @@ SWEEP_COLUMNS = ["gamma_w", "kappa", "region", "t_first_divergence", "N_total", 
 
 # larger grids are refused before anything is allocated
 _MAX_SERIES_SAMPLES = 10**7
-_MAX_SWEEP_CELLS = 10**6
+_MAX_PARAMETER_POINTS = 10**6  # sweep cells, boundaries rows
 
 
 def _fmt(x) -> str:
@@ -339,12 +339,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             _range_spec(cfg.gamma_w_range, "--gamma-w-range")[2]
             * _range_spec(cfg.kappa_range, "--kappa-range")[2]
         )
-        if n_cells > _MAX_SWEEP_CELLS:
-            raise ConfigError(f"sweep of {n_cells} cells exceeds {_MAX_SWEEP_CELLS}")
+        if n_cells > _MAX_PARAMETER_POINTS:
+            raise ConfigError(f"sweep of {n_cells} cells exceeds {_MAX_PARAMETER_POINTS}")
     elif cfg.subcommand == "boundaries":
         if not cfg.gamma_w_range:
             cfg.gamma_w_range = "0.05:3.0:0.05"
-        _range_spec(cfg.gamma_w_range, "--gamma-w-range")
+        n_rows = _range_spec(cfg.gamma_w_range, "--gamma-w-range")[2]
+        if n_rows > _MAX_PARAMETER_POINTS:
+            raise ConfigError(
+                f"boundaries range of {n_rows} points exceeds {_MAX_PARAMETER_POINTS}"
+            )
     elif cfg.t_max / cfg.dt + 1.0 > _MAX_SERIES_SAMPLES:
         raise ConfigError(
             f"t_max/dt + 1 = {cfg.t_max / cfg.dt + 1.0:.6g} samples exceeds {_MAX_SERIES_SAMPLES}"

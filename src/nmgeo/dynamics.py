@@ -19,14 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure, ValidationError
-from .gfunction import (
-    GSolution,
-    _bisect,
-    _scan_intervals,
-    _sign_brackets,
-    find_g_roots,
-    solve_g,
-)
+from .gfunction import GSolution, _critical_points, solve_g
 from .model import DensityMatrix2, GridSpec, ModelParams, TimeSeries, validate_params
 
 FROM_G = "from-g"
@@ -192,8 +185,9 @@ class NonMarkovReport:
     """Accumulated trace-distance backflow N_t and the windows producing it.
 
     series channels: g, abs_g and the non-decreasing N_t.  windows are the
-    maximal open intervals where d|g|/dt > 0 (equivalently Re F_z < 0 away
-    from zeros of g); n_total is N_t at the end of the grid.
+    intervals between consecutive critical points of |g| (0, the zeros of g
+    and g', t_max) over which |g| rises, so d|g|/dt > 0 inside (equivalently
+    Re F_z < 0 away from zeros of g); n_total is N_t at the end of the grid.
     """
 
     series: TimeSeries
@@ -209,37 +203,17 @@ def non_markovianity(p: ModelParams, t_max: float, dt: float = 0.01) -> NonMarko
     """
     validate_params(p)
     sol = solve_g(p)
-    roots = find_g_roots(sol, t_max)
+    _, crit, crit_abs_g = _critical_points([sol], t_max)[0]
+    # intervals narrower than the 1e-12 bisection tolerance are not resolved
+    rises = np.nonzero((np.diff(crit_abs_g) > 0.0) & (np.diff(crit) >= 1e-12))[0]
+    windows = [(float(crit[i]), float(crit[i + 1])) for i in rises]
     grid = GridSpec.uniform(t_max, dt)
     g = sol.eval(grid.times())[0]
     absg = np.abs(g)
     inc = np.maximum(np.diff(absg), 0.0)
     n_t = np.concatenate([[0.0], np.cumsum(inc)])
-    windows = _backflow_windows(sol, t_max, roots)
     series = TimeSeries(grid, {"g": g, "abs_g": absg, "N_t": n_t})
     return NonMarkovReport(series=series, windows=windows, n_total=float(n_t[-1]))
-
-
-def _backflow_windows(sol: GSolution, t_max: float, roots: list) -> list:
-    """Maximal intervals of (0, t_max) where g * g' > 0, edges refined."""
-    bounds = [0.0, *roots]
-    ts = np.linspace(0.0, t_max, _scan_intervals(sol, t_max) + 1)
-    _, flips = _sign_brackets(sol, ts, 1)
-    bounds += _bisect(sol, 1, ts[flips], ts[flips + 1]).tolist()
-    bounds.append(t_max)
-    bounds = sorted(bounds)
-    windows = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < 1e-12:
-            continue
-        mid = 0.5 * (lo + hi)
-        g, gp, _ = sol.eval(mid)
-        if g[0] * gp[0] > 0.0:
-            if windows and abs(windows[-1][1] - lo) < 1e-9:
-                windows[-1] = (windows[-1][0], hi)
-            else:
-                windows.append((lo, hi))
-    return windows
 
 
 def _initial_family(theta: float, convention: str):

@@ -25,10 +25,6 @@ class NotResonant(NmgeoError):
     """Operation requires omega == omega_c == Omega_w."""
 
 
-class DegenerateRoots(NmgeoError):
-    """Characteristic roots too close for the root-sum form; use the ODE fallback."""
-
-
 class IntegrationFailure(NmgeoError):
     """An ODE integration did not reach the end of the requested interval."""
 

@@ -10,7 +10,8 @@ whose modes are exp(x t / 2) with x running over the roots of
     x^3 + 2 gamma_w x^2 + (4 kappa^2 + 2 gamma_w Gamma_w) x + 8 kappa^2 gamma_w = 0.
 
 The closed root-sum solution, an independent high-order ODE oracle, the
-memory-less-bath closed forms, and sign-change root finding all live here.
+memory-less-bath closed forms, and the one scan-and-bisect that finds the
+zeros of g and the critical points of |g| all live here.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DegenerateRoots, IntegrationFailure, NotResonant
+from .errors import IntegrationFailure, NotResonant
 from .model import GridSpec, ModelParams, TimeSeries, validate_params
 
 ROOT_SUM = "root-sum"
@@ -31,7 +32,9 @@ ODE_FALLBACK = "ode-fallback"
 MARKOV = "markov"
 
 _DEGENERACY_RTOL = 1e-8
-_REALNESS_TOL = 1e-9
+# scan points evaluated at once: their temporaries stay in the CPU cache and
+# below the allocator's mmap threshold, so no scan faults in fresh pages
+_SCAN_CHUNK = 2**12
 
 
 def cubic_coefficients(p: ModelParams) -> np.ndarray:
@@ -131,9 +134,8 @@ class GSolution:
     def eval(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(g, g', g'') at times t (scalar or array), as arrays shaped like t.
 
-        Root-sum values at a 1-d t come from one matrix-vector product; at a
-        column t[:, None] from one dot product per time, bitwise equal to a
-        single-time call (the two BLAS kernels round differently).
+        Every value is computed elementwise (root-sum: the real modal form of
+        _ModalCells), so it does not depend on the times evaluated with it.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.method == MARKOV:
@@ -148,20 +150,12 @@ class GSolution:
             self._ensure_dense(float(np.max(t)))
             y = self._dense(t.ravel()).reshape((3,) + t.shape)
             return y[0], y[1], y[2]
-        e = np.exp(np.multiply.outer(t, self.roots) / 2.0)
-        g, gp, gpp = (e @ w for w in self._mode_weights)
-        resid = np.abs(np.array([g.imag, gp.imag, gpp.imag])).max(initial=0.0)
-        if resid > _REALNESS_TOL:
-            raise DegenerateRoots(
-                f"imaginary residue {resid:.2e} exceeds {_REALNESS_TOL}; roots too close"
-            )
-        return g.real, gp.real, gpp.real
+        g, gp, gpp = self._modal.eval(t.ravel())
+        return g.reshape(t.shape), gp.reshape(t.shape), gpp.reshape(t.shape)
 
     @cached_property
-    def _mode_weights(self):
-        # weights of exp(x t/2) in g, g' and g''
-        half = self.roots / 2.0
-        return self.weights, self.weights * half, self.weights * half**2
+    def _modal(self) -> _ModalCells:
+        return _ModalCells([self])
 
     def g(self, t) -> np.ndarray:
         return self.eval(t)[0]
@@ -239,7 +233,8 @@ class _ModalCells:
         weights = self._params[4:].reshape(4, 3, -1)
         for c, sol in enumerate(sols):
             half = sol.roots / 2.0
-            w = np.array(sol._mode_weights).T  # mode x derivative order
+            # weights of exp(x t/2) in g, g' and g'', mode x derivative order
+            w = np.array([sol.weights, sol.weights * half, sol.weights * half**2]).T
             pair = np.nonzero(half.imag > 0.0)[0]
             if pair.size:
                 k, r = pair[0], np.nonzero(half.imag == 0.0)[0][0]
@@ -250,15 +245,21 @@ class _ModalCells:
                 rates[:, c] = half.real
                 weights[[0, 1, 3], :, c] = w.real
 
-    def eval(self, t: np.ndarray, cell: np.ndarray):
-        """(g, g', g'') at the times t[i] of the cells cell[i]."""
-        p = self._params
-        e = np.exp(p[:3].take(cell, axis=1) * t)
-        bt = p[3].take(cell) * t
+    def eval(self, t: np.ndarray, cell: np.ndarray | None = None):
+        """(g, g', g'') at the times t[i] of the cells cell[i].
+
+        With cell None, the only cell of a one-cell kernel at every time.
+        """
+
+        def rows(a, b):
+            return self._params[a:b] if cell is None else self._params[a:b].take(cell, axis=1)
+
+        e = np.exp(rows(0, 3) * t)
+        bt = rows(3, 4)[0] * t
         basis = (e[0], e[1] * np.cos(bt), e[1] * np.sin(bt), e[2])
-        out = p[4:7].take(cell, axis=1) * basis[0]
+        out = rows(4, 7) * basis[0]
         for k in (1, 2, 3):
-            out += p[4 + 3 * k : 7 + 3 * k].take(cell, axis=1) * basis[k]
+            out += rows(4 + 3 * k, 7 + 3 * k) * basis[k]
         return out[0], out[1], out[2]
 
 
@@ -326,21 +327,6 @@ def g_markov_limit_deriv(Gamma_w: float, kappa: float, t) -> np.ndarray:
     return -4.0 * kappa**2 * env * np.sin(c * t / 4.0) / c
 
 
-def _sign_brackets(sol: GSolution, ts: np.ndarray, order: int):
-    """Sign of g^(order) on the grid ts and the indices i where it flips on [ts[i], ts[i+1]]."""
-    sign = np.sign(sol.eval(ts)[order])
-    return sign, np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-
-
-def _bisect(sol: GSolution, order: int, lo, hi) -> np.ndarray:
-    """Zeros of g^(order) in the brackets [lo[j], hi[j]], bisected all together.
-
-    Single-time values (see GSolution.eval) make each zero bitwise the one
-    found bisecting its bracket alone.
-    """
-    return _bisect_brackets(lambda t, j: sol.eval(t[:, None])[order][:, 0], lo, hi)
-
-
 def _bisect_brackets(f, lo, hi) -> np.ndarray:
     """Zeros in the brackets [lo[j], hi[j]] of the functions f(t, j), bisected together.
 
@@ -379,17 +365,112 @@ def find_g_roots(sol: GSolution, t_max: float) -> list[float]:
     """Times of sign changes of g in (0, t_max], refined to ~1e-12.
 
     Tangential touches (no sign change) are not reported; an empty list is
-    a valid result.
+    a valid result.  See _critical_points for the scan.
     """
-    n = _scan_intervals(sol, t_max)
-    ts = np.linspace(0.0, t_max, n + 1)
-    sign, flips = _sign_brackets(sol, ts, 0)
-    roots = _bisect(sol, 0, ts[flips], ts[flips + 1]).tolist()
-    # a sample landing exactly on a zero: count it if the neighbours straddle
-    for i in np.nonzero(sign == 0.0)[0]:
-        if 0 < i < n and sign[i - 1] * sign[i + 1] < 0:
-            roots.append(float(ts[i]))
-    return sorted(roots)
+    return _critical_points([sol], t_max)[0][0].tolist()
+
+
+def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
+    """(zeros of g in (0, t_max], critical points of |g|, |g| at each) per cell.
+
+    Root-sum cells are evaluated together by one stacked real modal kernel;
+    any other g comes alone and is evaluated by its GSolution.eval.  Each
+    cell scans g and g'' on its grid np.linspace(0, t_max, n + 1), n from
+    _scan_intervals, and one bisection refines every sign change of both; a
+    sample exactly at zero between samples of opposite sign is a zero
+    itself.  g' is monotone between consecutive zeros of g'' (with 0 and
+    t_max as the outer ends), so its zeros are bracketed there, which also
+    catches lobes of g' narrower than the scan step.  The critical points
+    {0, zeros of g, zeros of g', t_max} come sorted, and |g| is monotone
+    between consecutive ones; the zeros of g come sorted too.
+    """
+    if sols[0].method == ROOT_SUM:
+        f = _ModalCells(sols).eval
+    else:
+        f = lambda t, cell: sols[0].eval(t)
+    n_cells = len(sols)
+    ids = np.arange(n_cells)
+
+    # the grids, one after another, sample k at (t(k), cell(k)); scanned in
+    # chunks whose temporaries stay in the cache
+    n = np.array([_scan_intervals(sol, t_max) for sol in sols])
+    first = np.cumsum(n + 1) - (n + 1)
+    step = t_max / n
+
+    def grid(k):
+        c = np.searchsorted(first, k, side="right") - 1
+        t = (k - first[c]) * step[c]
+        t[k == first[c] + n[c]] = t_max
+        return t, c
+
+    size = int(first[-1] + n[-1] + 1)
+    # a dense ODE fallback is integrated to twice the largest time it is asked for
+    chunk = _SCAN_CHUNK if sols[0].method == ROOT_SUM else size
+    found: list = [[], [], [], []]  # sign changes of g, zero samples of g, then of g''
+    for a in range(0, size, chunk):
+        width = min(chunk, size - a)
+        # two samples past the chunk, so sign changes across its end are seen once
+        t, c = grid(np.arange(a, min(a + width + 2, size)))
+        g, _, gpp = f(t, c)
+        for m, values in enumerate((g, gpp)):
+            i, k = _sign_changes(values, c)
+            found[2 * m].append(a + i[i < width])
+            found[2 * m + 1].append(a + k[k <= width])
+    ig, kg, i2, k2 = (np.concatenate(ks) for ks in found)
+
+    # sign changes of g and g'' on the grids, bisected together
+    i = np.concatenate([ig, i2])
+    (t_lo, owner), (t_hi, _) = grid(i), grid(i + 1)
+    of_g = np.arange(i.size) < ig.size
+
+    def g_or_gpp(tm, j):
+        v = f(tm, owner[j])
+        return np.where(of_g[j], v[0], v[2])
+
+    z = _bisect_brackets(g_or_gpp, t_lo, t_hi)
+    (tg, cg), (t2, c2) = grid(kg), grid(k2)
+    zg, zg_cell = _sorted_by_cell([z[of_g], tg], [owner[of_g], cg])
+    z2, z2_cell = np.concatenate([z[~of_g], t2]), np.concatenate([owner[~of_g], c2])
+
+    # g' between consecutive zeros of g'': monotone, so one sign change at most
+    ends, end_cell = _sorted_by_cell(
+        [np.zeros(n_cells), z2, np.full(n_cells, t_max)], [ids, z2_cell, ids]
+    )
+    j, k1 = _sign_changes(f(ends, end_cell)[1], end_cell)
+    zp = _bisect_brackets(lambda tm, m: f(tm, end_cell[j[m]])[1], ends[j], ends[j + 1])
+
+    crit, crit_cell = _sorted_by_cell(
+        [np.zeros(n_cells), zg, zp, ends[k1], np.full(n_cells, t_max)],
+        [ids, zg_cell, end_cell[j], end_cell[k1], ids],
+    )
+    abs_g = np.abs(f(crit, crit_cell)[0])
+    zg_cut, crit_cut = np.searchsorted(zg_cell, ids[1:]), np.searchsorted(crit_cell, ids[1:])
+    return list(
+        zip(np.split(zg, zg_cut), np.split(crit, crit_cut), np.split(abs_g, crit_cut))
+    )
+
+
+def _sign_changes(values: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where values, sampled in order per cell, change sign within one cell.
+
+    Returns the indices i whose sign differs from that at i + 1, and the
+    indices k of samples exactly at zero between neighbours of opposite
+    sign.
+    """
+    sign = np.sign(values)
+    same = cell[:-1] == cell[1:]
+    i = np.nonzero((sign[:-1] * sign[1:] < 0.0) & same)[0]
+    k = 1 + np.nonzero(
+        (sign[1:-1] == 0.0) & (sign[:-2] * sign[2:] < 0.0) & same[:-1] & same[1:]
+    )[0]
+    return i, k
+
+
+def _sorted_by_cell(times: list, cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated times and their cells, sorted by cell, then time."""
+    t, c = np.concatenate(times), np.concatenate(cells)
+    order = np.lexsort((t, c))
+    return t[order], c[order]
 
 
 def markov_root_times(delta: float, n_max: int) -> list[float]:

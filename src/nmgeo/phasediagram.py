@@ -19,11 +19,10 @@ from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
     ROOT_SUM,
     GSolution,
-    _bisect,
     _bisect_brackets,
-    _ModalCells,
+    _critical_points,
     _scan_intervals,
-    _sign_brackets,
+    _sign_changes,
     solve_g,
 )
 from .model import ModelParams
@@ -43,9 +42,6 @@ _NEWTON_TOL, _NEWTON_ITER = 1e-10, 60
 
 # scan points one block of sweep cells holds; bounds the sweep's memory
 _BLOCK_POINTS = 2**15
-# scan points evaluated at once: their temporaries stay in the CPU cache and
-# below the allocator's mmap threshold, so no scan faults in fresh pages
-_SCAN_CHUNK = 2**12
 
 
 def green_boundary(gamma_w: float) -> float:
@@ -89,19 +85,19 @@ def _params(gamma_w: float, kappa: float) -> ModelParams:
     return ModelParams(kappa=kappa, gamma_w=gamma_w)
 
 
-def _first_gp_maximum(gamma_w: float, kappa: float, t_scan: float, n_scan: int):
-    """(t, g'(t)) at the first interior local maximum of g', or None.
+def _first_gp_maximum(gamma_w: float, kappa: float):
+    """(t, g'(t)) at the first interior local maximum of g' on (0, _T_SCAN], or None.
 
-    Located as the second sign change of g'' (the first is the minimum of
-    g', since g''(0) = -kappa^2 < 0).
+    Located as the second sign change of g'' on _N_SCAN samples (the first
+    is the minimum of g', since g''(0) = -kappa^2 < 0).
     """
     sol = solve_g(_params(gamma_w, kappa))
-    ts = np.linspace(1e-6, t_scan, n_scan)
-    _, flips = _sign_brackets(sol, ts, 2)
+    ts = np.linspace(1e-6, _T_SCAN, _N_SCAN)
+    flips, _ = _sign_changes(sol.eval(ts)[2], np.zeros(ts.size, dtype=np.intp))
     if flips.size < 2:
         return None
     i = flips[1:2]
-    t_star = float(_bisect(sol, 2, ts[i], ts[i + 1])[0])
+    t_star = float(_bisect_brackets(lambda t, j: sol.eval(t)[2], ts[i], ts[i + 1])[0])
     return t_star, float(sol.eval(t_star)[1][0])
 
 
@@ -175,8 +171,8 @@ def tangency_point(gamma_w: float) -> tuple[float, float]:
     _check_tangency_domain(gamma_w)
     k_hi = green_boundary(gamma_w)
     k_lo = k_hi / 1e4
-    h_lo = _first_gp_maximum(gamma_w, k_lo, _T_SCAN, _N_SCAN)
-    h_hi = _first_gp_maximum(gamma_w, k_hi, _T_SCAN, _N_SCAN)
+    h_lo = _first_gp_maximum(gamma_w, k_lo)
+    h_hi = _first_gp_maximum(gamma_w, k_hi)
     if h_hi is None or h_hi[1] <= 0.0:
         raise NoConvergence(
             "no positive first lobe of g' at the green boundary",
@@ -191,7 +187,7 @@ def tangency_point(gamma_w: float) -> tuple[float, float]:
         k_mid = 0.5 * (k_lo + k_hi)
         if k_mid in (k_lo, k_hi):  # float resolution: the bracket can no longer move
             break
-        h = _first_gp_maximum(gamma_w, k_mid, _T_SCAN, _N_SCAN)
+        h = _first_gp_maximum(gamma_w, k_mid)
         if h is None or h[1] < 0.0:
             k_lo = k_mid
         else:
@@ -252,7 +248,7 @@ def _continued(gamma_w: float, done: list[TangencyPoint]) -> tuple[float, float]
         t, k = _tangency_newton(gamma_w, t0, k0, _NEWTON_TOL, _NEWTON_ITER)
     except NmgeoError:
         return tangency_point(gamma_w)
-    lobe = _first_gp_maximum(gamma_w, k, _T_SCAN, _N_SCAN)
+    lobe = _first_gp_maximum(gamma_w, k)
     # a later lobe, or one so flat that the Newton t is not pinned down
     if lobe is None or abs(lobe[0] - t) > 1e-6 * max(1.0, t):
         return tangency_point(gamma_w)
@@ -349,103 +345,12 @@ def _error_record(gamma_w, kappa, exc: Exception) -> PhaseCell:
 def _classify(sols: list[GSolution], t_max: float) -> list[tuple[float | None, float]]:
     """(first zero of g in (0, t_max] or None, N_total) of each cell, found together.
 
-    Root-sum cells are evaluated by one stacked real modal kernel; any
-    other g comes alone and is evaluated by its GSolution.eval.  Each cell
-    scans g and g'' on find_g_roots' grid, and one bisection refines every
-    sign change of both.  g' is monotone between consecutive zeros of g''
-    (with 0 and t_max as the outer ends), so its zeros are bracketed there,
-    which also catches lobes of g' narrower than the scan step.  N_total is
-    the sum of the rises of |g| between consecutive critical points
-    {0, zeros of g, zeros of g', t_max}: exact, with no time grid.
+    N_total is the sum of the rises of |g| between consecutive critical
+    points from _critical_points: exact, with no time grid.
     """
-    if sols[0].method == ROOT_SUM:
-        f = _ModalCells(sols).eval
-    else:
-        f = lambda t, cell: sols[0].eval(t)
-    n_cells = len(sols)
-    ids = np.arange(n_cells)
-
-    # the grids np.linspace(0, t_max, n + 1), one after another, sample k at
-    # (t(k), cell(k)); scanned in chunks whose temporaries stay in the cache
-    n = np.array([_scan_intervals(sol, t_max) for sol in sols])
-    first = np.cumsum(n + 1) - (n + 1)
-    step = t_max / n
-
-    def grid(k):
-        c = np.searchsorted(first, k, side="right") - 1
-        t = (k - first[c]) * step[c]
-        t[k == first[c] + n[c]] = t_max
-        return t, c
-
-    size = int(first[-1] + n[-1] + 1)
-    # a dense ODE fallback is integrated to twice the largest time it is asked for
-    chunk = _SCAN_CHUNK if sols[0].method == ROOT_SUM else size
-    found: list = [[], [], [], []]  # sign changes of g, zero samples of g, then of g''
-    for a in range(0, size, chunk):
-        width = min(chunk, size - a)
-        # two samples past the chunk, so sign changes across its end are seen once
-        t, c = grid(np.arange(a, min(a + width + 2, size)))
-        g, _, gpp = f(t, c)
-        for m, values in enumerate((g, gpp)):
-            i, k = _sign_changes(values, c)
-            found[2 * m].append(a + i[i < width])
-            found[2 * m + 1].append(a + k[k <= width])
-    ig, kg, i2, k2 = (np.concatenate(ks) for ks in found)
-
-    # sign changes of g and g'' on the grids, bisected together
-    i = np.concatenate([ig, i2])
-    (t_lo, owner), (t_hi, _) = grid(i), grid(i + 1)
-    of_g = np.arange(i.size) < ig.size
-
-    def g_or_gpp(tm, j):
-        v = f(tm, owner[j])
-        return np.where(of_g[j], v[0], v[2])
-
-    z = _bisect_brackets(g_or_gpp, t_lo, t_hi)
-    (tg, cg), (t2, c2) = grid(kg), grid(k2)
-    zg, zg_cell = np.concatenate([z[of_g], tg]), np.concatenate([owner[of_g], cg])
-    z2, z2_cell = np.concatenate([z[~of_g], t2]), np.concatenate([owner[~of_g], c2])
-
-    # g' between consecutive zeros of g'': monotone, so one sign change at most
-    ends, end_cell = _sorted_by_cell(
-        [np.zeros(n_cells), z2, np.full(n_cells, t_max)], [ids, z2_cell, ids]
-    )
-    j, k1 = _sign_changes(f(ends, end_cell)[1], end_cell)
-    zp = _bisect_brackets(lambda tm, m: f(tm, end_cell[j[m]])[1], ends[j], ends[j + 1])
-
-    crit, crit_cell = _sorted_by_cell(
-        [np.zeros(n_cells), zg, zp, ends[k1], np.full(n_cells, t_max)],
-        [ids, zg_cell, end_cell[j], end_cell[k1], ids],
-    )
-    rise = np.maximum(np.diff(np.abs(f(crit, crit_cell)[0])), 0.0)
-    same = crit_cell[:-1] == crit_cell[1:]
-    n_total = np.bincount(crit_cell[:-1][same], weights=rise[same], minlength=n_cells)
-
-    t_first = np.full(n_cells, np.inf)
-    np.minimum.at(t_first, zg_cell, zg)
-    return [
-        (None if math.isinf(tf) else float(tf), float(nt)) for tf, nt in zip(t_first, n_total)
-    ]
-
-
-def _sign_changes(values: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where values, sampled in order per cell, change sign within one cell.
-
-    Returns the indices i whose sign differs from that at i + 1, and the
-    indices k of samples exactly at zero between neighbours of opposite
-    sign (find_g_roots counts those as zeros).
-    """
-    sign = np.sign(values)
-    same = cell[:-1] == cell[1:]
-    i = np.nonzero((sign[:-1] * sign[1:] < 0.0) & same)[0]
-    k = 1 + np.nonzero(
-        (sign[1:-1] == 0.0) & (sign[:-2] * sign[2:] < 0.0) & same[:-1] & same[1:]
-    )[0]
-    return i, k
-
-
-def _sorted_by_cell(times: list, cells: list) -> tuple[np.ndarray, np.ndarray]:
-    """The concatenated times and their cells, sorted by cell, then time."""
-    t, c = np.concatenate(times), np.concatenate(cells)
-    order = np.lexsort((t, c))
-    return t[order], c[order]
+    out = []
+    for zeros, _, abs_g in _critical_points(sols, t_max):
+        # added in time order: np.sum pairs terms and would round differently
+        n_total = float(np.cumsum(np.maximum(np.diff(abs_g), 0.0))[-1])
+        out.append((float(zeros[0]) if zeros.size else None, n_total))
+    return out

@@ -103,19 +103,19 @@ def test_clamped_beta_matches_loop_reference(rng):
 
 
 # sha256 of the README time-series recipes' CSVs, pinned on x86-64 Linux
-# (numpy 2.4) before the row writer was rewritten; the pole states theta = 0
-# and pi give beta = 0 and the same file
-POLE_STATE_PHASE_SHA256 = "fe5fc9c9e9d67ba93d41016323b77876be30c50c105edff6ecf463693cace618"
+# (numpy 2.4) with g evaluated in the real modal form; the pole states
+# theta = 0 and pi give beta = 0 and the same file
+POLE_STATE_PHASE_SHA256 = "363132f92a3315c984e4e6ceb62826fae95b39796866e828ee91f05fcbe3caaf"
 README_SERIES_SHA256 = {
     # id: (subcommand, theta or None, sha256)
     "phase": ("phase", "0.7853981633974483",
-              "2265b7114f1fc775c823d6d328c47e69c2ff197d19f9bf5de0653154ee76114b"),
+              "734456d8dff447eb3eee6d8cd4e68bfd672c94740da5621a3946ae1aa16586cd"),
     "phase-theta0": ("phase", "0", POLE_STATE_PHASE_SHA256),
     "phase-thetapi": ("phase", "3.141592653589793", POLE_STATE_PHASE_SHA256),
     "nonmarkov": ("nonmarkov", None,
-                  "23d94c3934437468c6fe38d5823b698e2b32ebf951ca47ed43b81824ecb05ce6"),
+                  "7dfc474f1c2a919d524e3f21a5e05ec818b4006ae1e2c4ee5bb8b38d3c527712"),
     "dynamics": ("dynamics", "0.7853981633974483",
-                 "b968c5793cfe7d5b112c176ed3251428698b958b6bcddfb220be4dbcbc564fc1"),
+                 "ba8f079a2dcfd9cef71d8c5fde617af51124d5a82e39303cdfad87bba5eda90d"),
 }
 
 
@@ -373,6 +373,15 @@ def test_oversize_sweep_refused_before_running(tmp_path, capsys):
     assert code == 2
     assert "3004001 cells exceeds 1000000" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "s.csv.manifest.json").exists()
+
+
+def test_oversize_boundaries_refused_before_running(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    # 3,000,001 rows; the README boundaries recipe has 60
+    code = run(["boundaries", "--gamma-w-range", "0.0:3.0:1e-6", "--out", str(out)])
+    assert code == 2
+    assert "3000001 points exceeds 1000000" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "b.csv.manifest.json").exists()
 
 
 def test_boundaries_csv(tmp_path):

@@ -327,6 +327,11 @@ def test_nonmarkovianity_zero_in_markov_region():
     assert rep.windows == []
 
 
+def test_no_backflow_windows_when_g_is_constant():
+    # kappa = 0 decouples the qubit: g = 1, and rounding noise in g' is no backflow
+    assert non_markovianity(ModelParams(kappa=0.0, gamma_w=0.5), 200.0).windows == []
+
+
 def test_nonmarkovianity_windows_at_reference_point(ref_params):
     rep = non_markovianity(ref_params, 20.0, 0.001)
     starts = [w[0] for w in rep.windows]

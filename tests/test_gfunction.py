@@ -18,7 +18,7 @@ from nmgeo import (
     ode_state_matrix,
     solve_g,
 )
-from nmgeo.gfunction import MARKOV, ODE_FALLBACK, ROOT_SUM, _bisect, _sign_brackets
+from nmgeo.gfunction import MARKOV, ODE_FALLBACK, ROOT_SUM, _bisect_brackets, _sign_changes
 
 from conftest import EXCEPTION_POINT, MARKOV_POINT, REF_POINT
 
@@ -138,18 +138,35 @@ def test_ode_oracle_requires_resonance():
 
 
 def test_realness_over_random_draws(rng):
-    # 100 draws, |Im g| <= 1e-9 on a 1e-2 grid over [0, 200]
+    # 100 draws on a 1e-2 grid over [0, 200]: the complex root sum has
+    # |Im g| <= 1e-9, and GSolution.eval's real modal form stays within
+    # 1e-14 of the sum of the magnitudes of its terms, for g, g' and g''
     ts = np.arange(0.0, 200.0 + 0.005, 0.01)
-    worst = 0.0
+    worst_imag, worst_scaled = 0.0, 0.0
     for _ in range(100):
         p = ModelParams(kappa=rng.uniform(1e-3, 1.0), gamma_w=rng.uniform(1e-2, 3.0))
         sol = solve_g(p)
         if sol.method != ROOT_SUM:
             continue
         e = np.exp(np.outer(ts, sol.roots) / 2.0)
-        gc = e @ sol.weights
-        worst = max(worst, float(np.max(np.abs(gc.imag))))
-    assert worst <= 1e-9
+        worst_imag = max(worst_imag, float(np.max(np.abs((e @ sol.weights).imag))))
+        for order, values in enumerate(sol.eval(ts)):
+            w = sol.weights * (sol.roots / 2.0) ** order
+            reference = (e @ w).real
+            scale = np.abs(e * w).sum(axis=1)
+            worst_scaled = max(worst_scaled, float(np.max(np.abs(values - reference) / scale)))
+    assert worst_imag <= 1e-9
+    assert worst_scaled <= 1e-14
+
+
+def test_eval_does_not_depend_on_batch(ref_gsol):
+    # every value is computed elementwise: one call over many times gives
+    # bitwise the values of one call per time
+    t = np.random.default_rng(3).uniform(0.0, 200.0, 1000)
+    batch = ref_gsol.eval(t)
+    for k in range(t.size):
+        single = ref_gsol.eval(t[k])
+        assert all(b[k] == s[0] for b, s in zip(batch, single)), t[k]
 
 
 @pytest.mark.parametrize(
@@ -329,8 +346,8 @@ def test_batched_bisection_matches_scalar_reference(order):
         dict(gamma_w=float(gw), kappa=float(k))
         for gw, k in zip(rng.uniform(0.05, 3.0, 18), rng.uniform(0.01, 0.6, 18))
     ]
-    # a g root and a g' zero at these two points lose their last bit when
-    # bisection values come from a matrix-vector product over all brackets
+    # a g root and a g' zero at these two points lost their last bit when
+    # GSolution.eval formed a matrix-vector product over all brackets
     points += [
         dict(gamma_w=1.3551144553589063, kappa=0.5923015159294286),
         dict(gamma_w=1.1195995087147772, kappa=0.5201632003595308),
@@ -341,10 +358,13 @@ def test_batched_bisection_matches_scalar_reference(order):
     for point in points:
         sol = solve_g(ModelParams(**point))
         ts = np.linspace(0.0, 200.0, int(math.ceil(200.0 / sol.scan_step())) + 1)
-        sign, flips = _sign_brackets(sol, ts, order)
+        values = sol.eval(ts)[order]
+        flips, _ = _sign_changes(values, np.zeros(ts.size, dtype=np.intp))
+        sign = np.sign(values)
         assert flips.tolist() == [i for i in range(ts.size - 1) if sign[i] * sign[i + 1] < 0]
         f = lambda t: float(sol.eval(t)[order][0])
         expect = [_bisect_root(f, ts[i], ts[i + 1]) for i in flips]
-        assert _bisect(sol, order, ts[flips], ts[flips + 1]).tolist() == expect
+        batched = _bisect_brackets(lambda t, j: sol.eval(t)[order], ts[flips], ts[flips + 1])
+        assert batched.tolist() == expect
         counts.append(len(expect))
     assert min(counts) == 0 and sum(counts) > len(points)

@@ -126,7 +126,7 @@ def test_tangency_curve_guard_keeps_first_lobe(curve):
     p160, p165 = curve[-2], curve[-1]
     assert p160.t_star == pytest.approx(24.28, abs=0.01)
     assert p165.t_star == pytest.approx(36.99, abs=0.01)
-    lobe = _first_gp_maximum(p165.gamma_w, p165.kappa, 60.0, 2500)
+    lobe = _first_gp_maximum(p165.gamma_w, p165.kappa)
     assert lobe[0] == pytest.approx(p165.t_star, abs=1e-6)
 
 
@@ -305,7 +305,7 @@ def test_sweep_scan_chunks_do_not_change_cells(monkeypatch, chunk):
     # each sign change of g and g'' is found once, also across a chunk's end
     gammas, kappas = [0.3, 0.9, 2.7], [0.05, 0.23, 0.43]
     whole = sweep(gammas, kappas, t_max=60.0)
-    monkeypatch.setattr("nmgeo.phasediagram._SCAN_CHUNK", chunk)
+    monkeypatch.setattr("nmgeo.gfunction._SCAN_CHUNK", chunk)
     assert sweep(gammas, kappas, t_max=60.0) == whole
 
 
