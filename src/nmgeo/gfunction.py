@@ -77,13 +77,24 @@ def cubic_roots(p: ModelParams) -> np.ndarray:
     if not p.resonant():
         raise NotResonant("characteristic cubic is derived at omega == omega_c == Omega_w")
     coeffs = cubic_coefficients(p)
-    roots = np.roots(coeffs).astype(complex)
+    if coeffs[3] == 0.0:
+        # np.roots drops the zero constant term and appends the exact root 0
+        roots = np.roots(coeffs).astype(complex)
+    else:
+        # np.roots' companion matrix of the monic cubic, without its trimming
+        companion = np.array([-coeffs[1:], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        roots = np.linalg.eigvals(companion).astype(complex)
     # Newton polish: companion eigenvalues are good to ~1e-12 relative; two
     # steps push residuals to rounding so exp(x t / 2) stays accurate at large t.
-    dcoeffs = np.polyder(coeffs)
+    # Horner in np.polyval's order of operations (so the roots round as with
+    # it), on the cubic and on its derivative [3, 2 c1, c2]
+    dcoeffs = (3.0, 2.0 * coeffs[1], coeffs[2])
     for _ in range(2):
-        fv = np.polyval(coeffs, roots)
-        dv = np.polyval(dcoeffs, roots)
+        fv = dv = np.zeros_like(roots)
+        for c in coeffs:
+            fv = fv * roots + c
+        for c in dcoeffs:
+            dv = dv * roots + c
         ok = np.abs(dv) > 0
         roots[ok] = roots[ok] - fv[ok] / dv[ok]
     scale = max(1.0, float(np.max(np.abs(roots))))
@@ -210,6 +221,9 @@ def solve_g(p: ModelParams) -> GSolution:
     # missed a near-degeneracy (double roots split like sqrt(eps))
     if not np.all(np.isfinite(weights)) or np.max(np.abs(weights)) > 1e6:
         return GSolution(params=p, method=ODE_FALLBACK)
+    if p.kappa == 0.0:
+        # g = 1: all weight on the exact root 0, none left to rounding
+        weights = (roots == 0.0).astype(complex)
     return GSolution(params=p, method=ROOT_SUM, roots=roots, weights=weights)
 
 
@@ -263,8 +277,13 @@ class _ModalCells:
         return out[0], out[1], out[2]
 
 
+def _third_derivative(g, gp, gpp, gw, Gw, k2):
+    """g''' from (g, g', g'') by the ODE, for gamma_w = gw, Gamma_w = Gw, kappa^2 = k2."""
+    return -gw * gpp - 0.5 * (gw * Gw + 2.0 * k2) * gp - gw * k2 * g
+
+
 def _g_rhs(t, y, gw, Gw, k2):
-    return [y[1], y[2], -gw * y[2] - 0.5 * (gw * Gw + 2.0 * k2) * y[1] - gw * k2 * y[0]]
+    return [y[1], y[2], _third_derivative(*y, gw, Gw, k2)]
 
 
 def _integrate_g(p: ModelParams, t_span, t_eval=None, dense=False):
@@ -436,7 +455,11 @@ def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
     ends, end_cell = _sorted_by_cell(
         [np.zeros(n_cells), z2, np.full(n_cells, t_max)], [ids, z2_cell, ids]
     )
-    j, k1 = _sign_changes(f(ends, end_cell)[1], end_cell)
+    gp_ends = f(ends, end_cell)[1]
+    # g'(0) = 0 by the initial condition; a rounded root sum there would
+    # bracket a spurious zero of g' next to t = 0
+    gp_ends[ends == 0.0] = 0.0
+    j, k1 = _sign_changes(gp_ends, end_cell)
     zp = _bisect_brackets(lambda tm, m: f(tm, end_cell[j[m]])[1], ends[j], ends[j + 1])
 
     crit, crit_cell = _sorted_by_cell(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,10 +20,10 @@ from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
     ROOT_SUM,
     GSolution,
-    _bisect_brackets,
     _critical_points,
     _scan_intervals,
     _sign_changes,
+    _third_derivative,
     solve_g,
 )
 from .model import ModelParams
@@ -85,20 +86,54 @@ def _params(gamma_w: float, kappa: float) -> ModelParams:
     return ModelParams(kappa=kappa, gamma_w=gamma_w)
 
 
+@lru_cache(maxsize=4)
+def _tangency_solution(gamma_w: float, kappa: float) -> GSolution:
+    """solve_g at (gamma_w, kappa), remembered for the next few calls.
+
+    A continued Newton ends on the kappa its first-lobe guard solves again,
+    and a bisection-seeded Newton starts on the kappa of the last lobe.
+    """
+    return solve_g(_params(gamma_w, kappa))
+
+
 def _first_gp_maximum(gamma_w: float, kappa: float):
     """(t, g'(t)) at the first interior local maximum of g' on (0, _T_SCAN], or None.
 
-    Located as the second sign change of g'' on _N_SCAN samples (the first
-    is the minimum of g', since g''(0) = -kappa^2 < 0).
+    Bracketed by the second sign change of g'' on _N_SCAN samples (the first
+    is the minimum of g', since g''(0) = -kappa^2 < 0), then refined by
+    Newton on g'' with g''' from the ODE, from the bracket's left sample.
+    Each new sign of g'' shrinks the bracket, and a Newton step that leaves
+    it is replaced by its midpoint.  The refine stops once a step or the
+    bracket is below 1e-12, or g'' is exactly 0.
     """
-    sol = solve_g(_params(gamma_w, kappa))
+    sol = _tangency_solution(gamma_w, kappa)
+    p = sol.params
     ts = np.linspace(1e-6, _T_SCAN, _N_SCAN)
-    flips, _ = _sign_changes(sol.eval(ts)[2], np.zeros(ts.size, dtype=np.intp))
+    g, gp, gpp = sol.eval(ts)
+    flips, _ = _sign_changes(gpp, np.zeros(ts.size, dtype=np.intp))
     if flips.size < 2:
         return None
-    i = flips[1:2]
-    t_star = float(_bisect_brackets(lambda t, j: sol.eval(t)[2], ts[i], ts[i + 1])[0])
-    return t_star, float(sol.eval(t_star)[1][0])
+    i = flips[1]
+    lo, hi, neg_lo = ts[i], ts[i + 1], gpp[i] < 0.0
+    t, y = lo, (g[i], gp[i], gpp[i])
+    for _ in range(200):
+        gppp = _third_derivative(*y, p.gamma_w, p.Gamma_w, kappa**2)
+        t_new = t - y[2] / gppp if gppp != 0.0 else math.nan
+        # before the bracket test: a converged step may land on a bracket end
+        if abs(t_new - t) < 1e-12:
+            break
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+        t, y = t_new, tuple(v[0] for v in sol.eval(t_new))
+        if y[2] == 0.0:
+            break
+        if (y[2] < 0.0) == neg_lo:
+            lo = t
+        else:
+            hi = t
+        if hi - lo < 1e-12:
+            break
+    return float(t), float(y[1])
 
 
 def _tangency_newton(gamma_w: float, t: float, k: float, tol: float, max_iter: int):
@@ -112,18 +147,18 @@ def _tangency_newton(gamma_w: float, t: float, k: float, tol: float, max_iter: i
     gw, Gw = gamma_w, _params(gamma_w, k).Gamma_w
 
     def state(t_, k_):
-        g, gp, gpp = solve_g(_params(gw, k_)).eval(t_)
-        return g[0], np.array([gp[0], gpp[0]]) / k_**2
+        g, gp, gpp = _tangency_solution(gw, k_).eval(t_)
+        return g[0] / k_**2, np.array([gp[0], gpp[0]]) / k_**2
 
     g, fval = state(t, k)
     for _ in range(max_iter):
         if np.max(np.abs(fval)) < tol:
             return float(t), float(k)
-        gp, gpp = fval  # divided by kappa^2, as is g''' here
-        gppp = -gw * gpp - 0.5 * (gw * Gw + 2.0 * k**2) * gp - gw * g
+        # g, g' and g'' divided by kappa^2, and so g''' too
+        gppp = _third_derivative(g, *fval, gw, Gw, k**2)
         hk = 1e-7 * max(1.0, k)
         jac = np.empty((2, 2))
-        jac[:, 0] = (gpp, gppp)
+        jac[:, 0] = (fval[1], gppp)
         jac[:, 1] = (state(t, k + hk)[1] - state(t, k - hk)[1]) / (2.0 * hk)
         try:
             step = np.linalg.solve(jac, -fval)

@@ -24,3 +24,25 @@ def ref_gsol(ref_params):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """count_calls(owner, name) counts the calls of owner.name until the test ends.
+
+    Returns a function giving the count so far.  A call count does not move
+    with the machine's load, so it bounds work where a timing would be loose.
+    """
+
+    def count(owner, name):
+        original = getattr(owner, name)
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return lambda: calls[0]
+
+    return count

@@ -399,6 +399,30 @@ def test_boundaries_csv(tmp_path):
     assert manifest["tangency_errors"] == {}
 
 
+def test_readme_boundaries_recipe(tmp_path):
+    out = tmp_path / "b.csv"
+    assert run(["boundaries", "--gamma-w-range", "0.05:3.0:0.05", "--out", str(out)]) == 0
+    rows = _read_csv(out)[1:]
+    assert len(rows) == 60
+    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+    assert list(manifest["tangency_errors"]) == ["0.05"]
+    # the closed-form green and blue columns, byte for byte
+    columns = "".join(f"{r[1]},{r[2]}\n" for r in rows).encode()
+    assert hashlib.sha256(columns).hexdigest() == (
+        "0c12c8d92304b2064bab8f3f39a7c1444646f3853300bbf53f93f3cb983f367c"
+    )
+    # kappa* of this recipe before the first-lobe refine became a Newton iteration
+    for i, kappa in [
+        (1, 0.056687694161128295),
+        (9, 0.27474639208485674),
+        (19, 0.36359988750924732),
+        (31, 0.33987426868951265),
+        (32, 0.33165503086114223),
+    ]:
+        # row i holds gamma_w = 0.05 (i + 1): 0.1, 0.5, 1.0, 1.6 and 1.65
+        assert float(rows[i][3]) == pytest.approx(kappa, rel=1e-12, abs=0.0), rows[i]
+
+
 def test_boundaries_manifest_keeps_tangency_error(tmp_path):
     out = tmp_path / "b.csv"
     assert run(["boundaries", "--gamma-w-range", "0.05:0.1:0.05", "--out", str(out)]) == 0

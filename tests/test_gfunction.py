@@ -18,7 +18,14 @@ from nmgeo import (
     ode_state_matrix,
     solve_g,
 )
-from nmgeo.gfunction import MARKOV, ODE_FALLBACK, ROOT_SUM, _bisect_brackets, _sign_changes
+from nmgeo.gfunction import (
+    MARKOV,
+    ODE_FALLBACK,
+    ROOT_SUM,
+    _bisect_brackets,
+    _critical_points,
+    _sign_changes,
+)
 
 from conftest import EXCEPTION_POINT, MARKOV_POINT, REF_POINT
 
@@ -49,6 +56,39 @@ def test_roots_sorted_and_conjugate(ref_params):
     # one real root and an exact conjugate pair at this point
     assert abs(r[0].imag) == 0.0
     assert r[1] == np.conj(r[2])
+
+
+def _np_roots_polished(p):
+    """The characteristic roots as np.roots and two np.polyval Newton steps give them."""
+    coeffs = cubic_coefficients(p)
+    roots = np.roots(coeffs).astype(complex)
+    dcoeffs = np.polyder(coeffs)
+    for _ in range(2):
+        fv = np.polyval(coeffs, roots)
+        dv = np.polyval(dcoeffs, roots)
+        ok = np.abs(dv) > 0
+        roots[ok] = roots[ok] - fv[ok] / dv[ok]
+    scale = max(1.0, float(np.max(np.abs(roots))))
+    imag = np.abs(roots.imag) > 1e-10 * scale
+    if np.count_nonzero(imag) == 2:
+        i, j = np.nonzero(imag)[0]
+        pair = 0.5 * (roots[i] + np.conj(roots[j]))
+        roots[i], roots[j] = pair, np.conj(pair)
+        k = np.nonzero(~imag)[0][0]
+        roots[k] = roots[k].real
+    elif np.count_nonzero(imag) == 0:
+        roots = roots.real.astype(complex)
+    return roots[np.lexsort((roots.imag, roots.real))]
+
+
+def test_roots_bitwise_equal_to_np_roots_reference():
+    rng = np.random.default_rng(11)
+    n = 600
+    gammas = np.concatenate([rng.uniform(0.01, 5.0, n), rng.uniform(0.01, 5.0, 50)])
+    kappas = np.concatenate([10.0 ** rng.uniform(-9.0, 0.3, n), np.zeros(50)])
+    for gw, k in zip(gammas, kappas):
+        p = ModelParams(kappa=float(k), gamma_w=float(gw))
+        assert cubic_roots(p).tobytes() == _np_roots_polished(p).tobytes(), p
 
 
 def test_cubic_requires_resonance():
@@ -114,6 +154,29 @@ def test_free_system_constant():
     assert np.max(np.abs(g - 1.0)) < 1e-12
     assert np.max(np.abs(gp)) < 1e-12
     assert np.max(np.abs(gpp)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma_w", [0.1, 0.3, 2.5])
+def test_free_system_weights_exact(gamma_w):
+    # kappa = 0: the root 0 carries all the weight, so g = 1 to the bit
+    sol = solve_g(ModelParams(kappa=0.0, gamma_w=gamma_w))
+    assert sol.method == ROOT_SUM
+    assert sol.weights.tolist() == (sol.roots == 0.0).astype(complex).tolist()
+    g, gp, gpp = sol.eval(np.linspace(0.0, 200.0, 2001))
+    assert np.all(g == 1.0) and np.all(gp == 0.0) and np.all(gpp == 0.0)
+
+
+def test_no_critical_point_next_to_t0():
+    # g'(0) = 0 exactly: a rounded g'(0) > 0 would bracket a g' zero at t ~ 1e-13
+    rng = np.random.default_rng(5)
+    sols = [
+        solve_g(ModelParams(kappa=float(k), gamma_w=float(gw)))
+        for gw, k in zip(rng.uniform(0.02, 3.0, 300), rng.uniform(0.005, 0.6, 300))
+    ]
+    sols = [sol for sol in sols if sol.method == ROOT_SUM]
+    for sol, (_, crit, _) in zip(sols, _critical_points(sols, 200.0)):
+        assert crit[0] == 0.0
+        assert not np.any((crit > 0.0) & (crit < 1e-9)), sol.params
 
 
 def test_root_sum_matches_ode_oracle(ref_params, ref_gsol):

@@ -26,7 +26,15 @@ from nmgeo import (
     tangency_curve,
     tangency_point,
 )
-from nmgeo.phasediagram import _first_gp_maximum, _tangency_newton
+from nmgeo import phasediagram
+from nmgeo.gfunction import GSolution, _bisect_brackets, _sign_changes
+from nmgeo.phasediagram import (
+    _N_SCAN,
+    _T_SCAN,
+    _first_gp_maximum,
+    _tangency_newton,
+    _tangency_solution,
+)
 
 JOIN_KAPPA = 3.0 * math.sqrt(3.0) / 16.0
 
@@ -93,6 +101,64 @@ def test_tangency_reference_value():
     assert abs(gpp[0]) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "gamma_w, kappa",
+    # tangency_point's values before its first-lobe refine became a Newton iteration
+    [
+        (0.10, 0.056687694161128295),
+        (0.5, 0.27474639208486323),
+        (1.0, 0.36359988750924743),
+        (1.6, 0.339874270402564),
+        (1.65, 0.33165503086114234),
+    ],
+)
+def test_tangency_point_values_kept(gamma_w, kappa):
+    assert tangency_point(gamma_w)[1] == pytest.approx(kappa, rel=1e-12, abs=0.0)
+
+
+def test_first_gp_maximum_matches_bisection_reference():
+    # the Newton refine against bisecting g'' to 1e-12 on the same scan bracket
+    rng = np.random.default_rng(3)
+    checked = 0
+    for gw, u in zip(rng.uniform(0.02, 1.68, 80), rng.uniform(-4.0, 0.3, 80)):
+        kappa = green_boundary(gw) * 10.0**u
+        sol = solve_g(ModelParams(kappa=kappa, gamma_w=gw))
+        ts = np.linspace(1e-6, _T_SCAN, _N_SCAN)
+        flips, _ = _sign_changes(sol.eval(ts)[2], np.zeros(ts.size, dtype=np.intp))
+        top = _first_gp_maximum(gw, kappa)
+        if flips.size < 2:
+            assert top is None
+            continue
+        i = flips[1:2]
+        t_ref = _bisect_brackets(lambda t, j: sol.eval(t)[2], ts[i], ts[i + 1])[0]
+        assert abs(top[0] - t_ref) <= 1e-11, (gw, kappa)
+        assert abs(top[1] - sol.eval(t_ref)[1][0]) <= 1e-15, (gw, kappa)
+        checked += 1
+    assert checked >= 50
+
+
+def test_first_gp_maximum_bisects_when_newton_leaves_bracket(monkeypatch):
+    # g''' a thousand times too small: Newton steps overshoot the bracket
+    expect = _first_gp_maximum(0.5, 0.2)
+    third = phasediagram._third_derivative
+    monkeypatch.setattr(phasediagram, "_third_derivative", lambda *a: 1e-3 * third(*a))
+    t, gp = _first_gp_maximum(0.5, 0.2)
+    assert abs(t - expect[0]) <= 1e-11 and abs(gp - expect[1]) <= 1e-15
+
+
+def test_tangency_curve_call_counts(count_calls):
+    # the README range 0.05:1.65:0.05 as the CLI parses it; bisecting the
+    # first lobe's g'' zero to 1e-12 took 5,393 evaluations here, and 508
+    # solve_g calls on np.linspace(0.05, 1.65, 33) (509 here)
+    evals = count_calls(GSolution, "eval")
+    solves = count_calls(phasediagram, "solve_g")
+    _tangency_solution.cache_clear()
+    points = tangency_curve(0.05 + 0.05 * np.arange(33))
+    assert [p.error is None for p in points] == [False] + [True] * 32
+    assert evals() <= 5393 // 2
+    assert solves() <= 508
+
+
 def test_tangency_domain():
     with pytest.raises(OutOfDomain):
         tangency_point(GREEN_BLUE_JOIN)
@@ -151,6 +217,13 @@ def test_scaled_newton_keeps_small_kappa_tangency():
     assert abs(k - k_star) <= 1e-8
     descending = tangency_curve([0.20, 0.15, 0.10])
     assert abs(descending[-1].kappa - k_star) <= 1e-8
+
+
+def test_free_system_has_no_backflow():
+    # kappa = 0: g = 1 exactly, so nothing rises
+    cell = classify_point(0.1, 0.0)
+    assert cell.region == REGION_MARKOV and cell.n_total == 0.0
+    assert non_markovianity(ModelParams(kappa=0.0, gamma_w=0.1), 200.0).windows == []
 
 
 def test_above_tangency_crosses_transversally():
