@@ -30,8 +30,6 @@ from .dynamics import (
 )
 from .errors import ConfigError, ConfigParseError, NmgeoError, UnknownConfigKey
 from .gfunction import (
-    g_markov_limit,
-    g_markov_limit_deriv,
     markov_root_times,
     solve_g,
 )
@@ -478,8 +476,8 @@ def _write_boundaries(rows, cfg: RunConfig):
 def _run_markov_limit(cfg: RunConfig):
     grid = cfg.grid()
     ts = grid.times()
-    g = g_markov_limit(cfg.Gamma_w, cfg.kappa, ts)
-    gp = g_markov_limit_deriv(cfg.Gamma_w, cfg.kappa, ts)
+    p = ModelParams(kappa=cfg.kappa, gamma_w=math.inf, Gamma_w=cfg.Gamma_w)
+    g, gp, _ = solve_g(p).eval(ts)
     series = TimeSeries(grid, {"g": g, "gp": gp, "D": np.abs(g)})
     extras: dict = {"root_times": []}
     if cfg.Gamma_w == 1.0 and cfg.kappa > 0.25:

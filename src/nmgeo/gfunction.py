@@ -9,16 +9,17 @@ whose modes are exp(x t / 2) with x running over the roots of
 
     x^3 + 2 gamma_w x^2 + (4 kappa^2 + 2 gamma_w Gamma_w) x + 8 kappa^2 gamma_w = 0.
 
-The closed root-sum solution, an independent high-order ODE oracle, the
-memory-less-bath closed forms, and the one scan-and-bisect that finds the
-zeros of g and the critical points of |g| all live here.
+One modal kernel evaluating g for every parameter point (the root sum, or a
+confluent form near repeated roots and for the memory-less bath), an
+independent high-order ODE oracle, and the one scan-and-bisect that finds
+the zeros of g and the critical points of |g| all live here.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,10 +29,14 @@ from .errors import IntegrationFailure, NotResonant
 from .model import GridSpec, ModelParams, TimeSeries, validate_params
 
 ROOT_SUM = "root-sum"
-ODE_FALLBACK = "ode-fallback"
 MARKOV = "markov"
 
-_DEGENERACY_RTOL = 1e-8
+# largest |mode weight| of a cell evaluated as a root sum: the weights, and
+# the sum's rounding, grow like 1/p'(x_i) near a repeated root (2.7e-10 at
+# |w| = 88 by the triple root); the README grid's largest is 39.04
+_ROOT_SUM_MAX_WEIGHT = 64.0
+# terms of the confluent form's series; the first left out is < 1e-18 of its first
+_TAYLOR_TERMS = 20
 # scan points evaluated at once: their temporaries stay in the CPU cache and
 # below the allocator's mmap threshold, so no scan faults in fresh pages
 _SCAN_CHUNK = 2**12
@@ -129,38 +134,24 @@ def cubic_discriminant(p: ModelParams) -> float:
 class GSolution:
     """Evaluatable representation of g, g', g''.
 
-    method is one of ROOT_SUM (characteristic roots + mode weights),
-    ODE_FALLBACK (dense adaptive integration; used when roots are within
-    1e-8 relative of each other) or MARKOV (memory-less closed forms for
-    gamma_w = inf).
+    method is ROOT_SUM (characteristic roots and mode weights of the cubic)
+    or MARKOV (gamma_w = inf, the memory-less two-mode equation).  Either is
+    evaluated by _ModalCells, which keeps the root sum where its weights are
+    small and switches to the confluent form near repeated roots.
     """
 
     params: ModelParams
     method: str
     roots: np.ndarray | None = None
     weights: np.ndarray | None = None
-    _dense: object = field(default=None, repr=False)
-    _dense_t_end: float = field(default=0.0, repr=False)
 
     def eval(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(g, g', g'') at times t (scalar or array), as arrays shaped like t.
 
-        Every value is computed elementwise (root-sum: the real modal form of
-        _ModalCells), so it does not depend on the times evaluated with it.
+        Every value is computed elementwise by _ModalCells, so it does not
+        depend on the times evaluated with it.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.method == MARKOV:
-            g = g_markov_limit(self.params.Gamma_w, self.params.kappa, t)
-            gp = g_markov_limit_deriv(self.params.Gamma_w, self.params.kappa, t)
-            # from the memory-less ODE g'' + Gamma_w g'/2 + kappa^2 g = 0
-            gpp = -0.5 * self.params.Gamma_w * gp - self.params.kappa**2 * g
-            return g, gp, gpp
-        if self.method == ODE_FALLBACK:
-            if not t.size:
-                return t, t.copy(), t.copy()
-            self._ensure_dense(float(np.max(t)))
-            y = self._dense(t.ravel()).reshape((3,) + t.shape)
-            return y[0], y[1], y[2]
         g, gp, gpp = self._modal.eval(t.ravel())
         return g.reshape(t.shape), gp.reshape(t.shape), gpp.reshape(t.shape)
 
@@ -182,45 +173,29 @@ class GSolution:
                 scales.append(2.0 * math.pi * 4.0 / math.sqrt(-c2))
         else:
             scales.append(1.0 / p.gamma_w)
-            if self.roots is not None:
-                im = float(np.max(np.abs(self.roots.imag)))
-                if im > 0.0:
-                    scales.append(2.0 * math.pi / im)
+            im = float(np.max(np.abs(self.roots.imag)))
+            if im > 0.0:
+                scales.append(2.0 * math.pi / im)
         return min(scales) / 20.0
-
-    def _ensure_dense(self, t_end: float):
-        if self._dense is not None and t_end <= self._dense_t_end:
-            return
-        t_hi = max(2.0 * t_end, 200.0)
-        sol = _integrate_g(self.params, (0.0, t_hi), dense=True)
-        self._dense = sol.sol
-        self._dense_t_end = t_hi
 
 
 def solve_g(p: ModelParams) -> GSolution:
     """Build the g(t) representation for resonant parameters.
 
-    Distinct characteristic roots give the root-sum; near-degenerate roots
-    (pairwise distance < 1e-8 relative) fall back to dense integration;
-    gamma_w = inf selects the memory-less closed forms.
+    Finite gamma_w gives the characteristic roots and their mode weights
+    (ROOT_SUM), gamma_w = inf the memory-less equation (MARKOV).  Weights
+    that blow up at a repeated root are not used: _ModalCells evaluates
+    such a cell in the confluent form.
     """
     validate_params(p)
     if p.is_markov_limit:
         return GSolution(params=p, method=MARKOV)
     roots = cubic_roots(p)
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    gaps = [abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3)]
-    if min(gaps) < _DEGENERACY_RTOL * scale:
-        return GSolution(params=p, method=ODE_FALLBACK)
     gw, Gw, k2 = p.gamma_w, p.Gamma_w, p.kappa**2
     num = 2.0 * gw * Gw + 2.0 * roots * gw + roots**2
     den = 4.0 * k2 + 2.0 * gw * Gw + 4.0 * roots * gw + 3.0 * roots**2
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = num / den
-    # mode weights are p'(x_i)-reciprocals: huge values mean the gap check
-    # missed a near-degeneracy (double roots split like sqrt(eps))
-    if not np.all(np.isfinite(weights)) or np.max(np.abs(weights)) > 1e6:
-        return GSolution(params=p, method=ODE_FALLBACK)
     if p.kappa == 0.0:
         # g = 1: all weight on the exact root 0, none left to rounding
         weights = (roots == 0.0).astype(complex)
@@ -228,16 +203,18 @@ def solve_g(p: ModelParams) -> GSolution:
 
 
 class _ModalCells:
-    """Root-sum cells in the real modal form, evaluated at (time, cell) pairs.
+    """g, g', g'' of many cells in real modal forms, evaluated at (time, cell) pairs.
 
-    Cell c holds
+    A root-sum cell whose weights are all at most _ROOT_SUM_MAX_WEIGHT holds
 
         g = w0 e^{r0 t} + e^{r1 t} (A cos(b t) + B sin(b t)) + w2 e^{r2 t}
 
     with r = x/2: the real root and the conjugate pair r1 +- i b (w2 = 0), or
-    three real roots (b = 0, B = 0).  g' and g'' share the exponentials and
-    cos/sin and differ only in their weights.  Every value is computed
-    elementwise, so a cell's values do not depend on the cells held with it.
+    three real roots (b = 0, B = 0).  Any other cell, near a double or triple
+    root or a Markov bath, holds the confluent form of _confluent_rows.  g'
+    and g'' share each form's basis functions and differ only in their
+    weights.  Every value is computed elementwise, so a cell's values do not
+    depend on the cells held with it.
     """
 
     def __init__(self, sols: list[GSolution]):
@@ -245,7 +222,13 @@ class _ModalCells:
         self._params = np.zeros((16, len(sols)))
         rates, freq = self._params[:3], self._params[3]
         weights = self._params[4:].reshape(4, 3, -1)
+        self._newton = np.zeros((13, len(sols)))
+        self._confluent = np.zeros(len(sols), dtype=bool)
         for c, sol in enumerate(sols):
+            if sol.method != ROOT_SUM or not np.all(np.abs(sol.weights) <= _ROOT_SUM_MAX_WEIGHT):
+                self._confluent[c] = True
+                self._newton[:, c] = _confluent_rows(sol)
+                continue
             half = sol.roots / 2.0
             # weights of exp(x t/2) in g, g' and g'', mode x derivative order
             w = np.array([sol.weights, sol.weights * half, sol.weights * half**2]).T
@@ -258,13 +241,23 @@ class _ModalCells:
             else:
                 rates[:, c] = half.real
                 weights[[0, 1, 3], :, c] = w.real
+        self._any_confluent = bool(self._confluent.any())
 
     def eval(self, t: np.ndarray, cell: np.ndarray | None = None):
         """(g, g', g'') at the times t[i] of the cells cell[i].
 
         With cell None, the only cell of a one-cell kernel at every time.
         """
+        if not self._any_confluent:
+            return self._eval_separated(t, cell)
+        cell = np.zeros(t.size, dtype=np.intp) if cell is None else cell
+        confluent = self._confluent[cell]
+        out = np.empty((3, t.size))
+        out[:, ~confluent] = self._eval_separated(t[~confluent], cell[~confluent])
+        out[:, confluent] = self._eval_confluent(t[confluent], cell[confluent])
+        return out[0], out[1], out[2]
 
+    def _eval_separated(self, t, cell):
         def rows(a, b):
             return self._params[a:b] if cell is None else self._params[a:b].take(cell, axis=1)
 
@@ -276,6 +269,72 @@ class _ModalCells:
             out += rows(4 + 3 * k, 7 + 3 * k) * basis[k]
         return out[0], out[1], out[2]
 
+    def _eval_confluent(self, t, cell):
+        p = self._newton.take(cell, axis=1)
+        alpha, sigma, r0, delta = p[:4]
+        with np.errstate(all="ignore"):  # the branch np.where drops may overflow or be 0/0
+            e, root, osc = np.exp(alpha * t), np.sqrt(np.abs(sigma)), sigma < 0.0
+            # e^{alpha t} (C, S); cosh and sinh from e^{alpha t + x}, which cannot overflow
+            x = root * t
+            grow = 0.5 * np.exp(alpha * t + x)
+            e_cos = np.where(osc, e * np.cos(x), grow * (1.0 + np.exp(-2.0 * x)))
+            e_sin = np.where(osc, e * np.sin(x), -grow * np.expm1(-2.0 * x))
+            e_sin = np.where(root > 0.0, e_sin / root, e * t)
+            # D e^{-alpha t} = sum_m h_m t^{m+2}/(m+2)!, h_m the complete symmetric
+            # polynomials of delta, +-sqrt(sigma): no cancellation where the spread
+            # times t is below 1, as there is in the direct form
+            series, term, h = 0.0, 0.5 * t * t, (1.0, 0.0, 0.0)
+            for m in range(_TAYLOR_TERMS):
+                series = series + h[0] * term
+                term = term * t / (m + 3)
+                h = (delta * h[0] + sigma * h[1] - delta * sigma * h[2], h[0], h[1])
+            direct = (np.exp(r0 * t) - (e_cos + delta * e_sin)) / (delta * delta - sigma)
+            third = np.where(np.hypot(delta, root) * t < 1.0, e * series, direct)
+        w = p[4:].reshape(3, 3, -1)
+        out = w[0] * e_cos + w[1] * e_sin + w[2] * third
+        return out[0], out[1], out[2]
+
+
+def _confluent_rows(sol: GSolution) -> list[float]:
+    """alpha, sigma, r0, delta and the weights c0, c1, c2 of g, g', g'' in the confluent form
+
+        g = c0 e^{alpha t} C + c1 e^{alpha t} S
+            + c2 (e^{r0 t} - e^{alpha t} (C + delta S)) / (delta^2 - sigma)
+
+    over the roots alpha +- sqrt(sigma) and r0 = alpha + delta (r = x/2),
+    with C = cosh(sqrt(sigma) t), S = sinh(sqrt(sigma) t)/sqrt(sigma) (cos,
+    sin for sigma < 0; S = t at 0): Newton's form in the exponential's
+    divided differences.  r0 is the real root farthest from the other two;
+    alpha and sigma are deflated from it with the cubic's coefficients, not
+    taken from the ill-conditioned close roots.  By Putzer's formula the
+    weights of g^(m), y_m, y_{m+1} - alpha y_m and y_{m+2} - 2 alpha y_{m+1}
+    + (alpha^2 - sigma) y_m from g^(n)(0) = y_n, are finite whatever the
+    gaps.  A Markov bath is the pair of g'' + Gamma_w g'/2 + kappa^2 g = 0:
+    alpha = -Gamma_w/4, sigma = (Gamma_w^2 - 16 kappa^2)/16, c2 = 0.
+    """
+    p = sol.params
+    gw, Gw, k2 = p.gamma_w, p.Gamma_w, p.kappa**2
+    y = [1.0, 0.0, -k2]
+    if sol.method == MARKOV:
+        alpha = r0 = -Gw / 4.0
+        sigma = (Gw**2 - 16.0 * k2) / 16.0
+        y.append(-0.5 * Gw * y[2] - k2 * y[1])
+    else:
+        real = np.sort(sol.roots[sol.roots.imag == 0.0].real / 2.0)
+        r0 = real[0] if real.size == 1 or real[1] - real[0] > real[2] - real[1] else real[2]
+        # (r - r0)(r^2 - 2 alpha r + b0) matches the cubic in r^3, r^2 and r
+        alpha = -(gw + r0) / 2.0
+        b0 = k2 + 0.5 * gw * Gw - 2.0 * alpha * r0
+        sigma = alpha**2 - b0
+        for _ in range(2):
+            y.append(_third_derivative(*y[-3:], gw, Gw, k2))
+    weights = np.zeros((3, 3))  # basis function, derivative order
+    for m in range(3):
+        weights[:2, m] = y[m], y[m + 1] - alpha * y[m]
+        if sol.method != MARKOV:
+            weights[2, m] = y[m + 2] - 2.0 * alpha * y[m + 1] + b0 * y[m]
+    return [alpha, sigma, r0, r0 - alpha, *weights.ravel()]
+
 
 def _third_derivative(g, gp, gpp, gw, Gw, k2):
     """g''' from (g, g', g'') by the ODE, for gamma_w = gw, Gamma_w = Gw, kappa^2 = k2."""
@@ -286,7 +345,7 @@ def _g_rhs(t, y, gw, Gw, k2):
     return [y[1], y[2], _third_derivative(*y, gw, Gw, k2)]
 
 
-def _integrate_g(p: ModelParams, t_span, t_eval=None, dense=False):
+def _integrate_g(p: ModelParams, t_span, t_eval):
     sol = solve_ivp(
         _g_rhs,
         t_span,
@@ -296,7 +355,6 @@ def _integrate_g(p: ModelParams, t_span, t_eval=None, dense=False):
         rtol=1e-13,
         atol=1e-15,
         t_eval=t_eval,
-        dense_output=dense,
     )
     if not sol.success:
         raise IntegrationFailure(f"g integration failed: {sol.message}")
@@ -314,36 +372,17 @@ def g_ode_oracle(p: ModelParams, grid: GridSpec) -> TimeSeries:
 
 
 def g_markov_limit(Gamma_w: float, kappa: float, t) -> np.ndarray:
-    """Memory-less-bath g(t).
+    """Memory-less-bath g(t): solve_g's at gamma_w = inf.
 
-    exp(-Gw t/4) [Gw sinh(c t/4)/c + cosh(c t/4)] with c = sqrt(Gw^2-16 k^2);
-    for Gw = 4 kappa the limit exp(-Gw t/4)(Gw t + 4)/4; imaginary c turns
-    cosh/sinh into cos/sin so the value is always real.
+    exp(-Gw t/4) [Gw sinh(c t/4)/c + cosh(c t/4)] with c = sqrt(Gw^2-16 k^2),
+    cos/sin for imaginary c and exp(-Gw t/4)(Gw t + 4)/4 at c = 0.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    c2 = Gamma_w**2 - 16.0 * kappa**2
-    env = np.exp(-Gamma_w * t / 4.0)
-    if abs(c2) < 1e-12 * max(Gamma_w**2, 1.0):
-        return 0.25 * env * (Gamma_w * t + 4.0)
-    if c2 > 0.0:
-        c = math.sqrt(c2)
-        return env * (Gamma_w * np.sinh(c * t / 4.0) / c + np.cosh(c * t / 4.0))
-    c = math.sqrt(-c2)
-    return env * (Gamma_w * np.sin(c * t / 4.0) / c + np.cos(c * t / 4.0))
+    return solve_g(ModelParams(kappa=kappa, gamma_w=math.inf, Gamma_w=Gamma_w)).eval(t)[0]
 
 
 def g_markov_limit_deriv(Gamma_w: float, kappa: float, t) -> np.ndarray:
     """d/dt of the memory-less g: -4 k^2 exp(-Gw t/4) sinh(c t/4)/c."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    c2 = Gamma_w**2 - 16.0 * kappa**2
-    env = np.exp(-Gamma_w * t / 4.0)
-    if abs(c2) < 1e-12 * max(Gamma_w**2, 1.0):
-        return -4.0 * kappa**2 * env * (t / 4.0)
-    if c2 > 0.0:
-        c = math.sqrt(c2)
-        return -4.0 * kappa**2 * env * np.sinh(c * t / 4.0) / c
-    c = math.sqrt(-c2)
-    return -4.0 * kappa**2 * env * np.sin(c * t / 4.0) / c
+    return solve_g(ModelParams(kappa=kappa, gamma_w=math.inf, Gamma_w=Gamma_w)).eval(t)[1]
 
 
 def _bisect_brackets(f, lo, hi) -> np.ndarray:
@@ -392,8 +431,8 @@ def find_g_roots(sol: GSolution, t_max: float) -> list[float]:
 def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
     """(zeros of g in (0, t_max], critical points of |g|, |g| at each) per cell.
 
-    Root-sum cells are evaluated together by one stacked real modal kernel;
-    any other g comes alone and is evaluated by its GSolution.eval.  Each
+    All cells are evaluated together by one stacked kernel, _ModalCells,
+    whatever their form, and scanned in chunks of _SCAN_CHUNK samples.  Each
     cell scans g and g'' on its grid np.linspace(0, t_max, n + 1), n from
     _scan_intervals, and one bisection refines every sign change of both; a
     sample exactly at zero between samples of opposite sign is a zero
@@ -403,10 +442,7 @@ def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
     {0, zeros of g, zeros of g', t_max} come sorted, and |g| is monotone
     between consecutive ones; the zeros of g come sorted too.
     """
-    if sols[0].method == ROOT_SUM:
-        f = _ModalCells(sols).eval
-    else:
-        f = lambda t, cell: sols[0].eval(t)
+    f = _ModalCells(sols).eval
     n_cells = len(sols)
     ids = np.arange(n_cells)
 
@@ -423,11 +459,9 @@ def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
         return t, c
 
     size = int(first[-1] + n[-1] + 1)
-    # a dense ODE fallback is integrated to twice the largest time it is asked for
-    chunk = _SCAN_CHUNK if sols[0].method == ROOT_SUM else size
     found: list = [[], [], [], []]  # sign changes of g, zero samples of g, then of g''
-    for a in range(0, size, chunk):
-        width = min(chunk, size - a)
+    for a in range(0, size, _SCAN_CHUNK):
+        width = min(_SCAN_CHUNK, size - a)
         # two samples past the chunk, so sign changes across its end are seen once
         t, c = grid(np.arange(a, min(a + width + 2, size)))
         g, _, gpp = f(t, c)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
-    ROOT_SUM,
     GSolution,
     _critical_points,
     _scan_intervals,
@@ -320,9 +319,9 @@ def classify_point(gamma_w: float, kappa: float, t_max: float = 200.0) -> PhaseC
 def sweep(gamma_values, kappa_values, t_max: float = 200.0) -> list[PhaseCell]:
     """Classify every (gamma_w, kappa) grid node, row-major in gamma then kappa.
 
-    Root-sum cells are classified together in blocks of at most
-    _BLOCK_POINTS scan points (a larger cell alone); ODE-fallback and Markov
-    cells one at a time.  Each cell's record equals classify_point's.
+    Cells are classified together, whatever form their g takes, in blocks
+    of at most _BLOCK_POINTS scan points (a larger cell alone).  Each cell's
+    record equals classify_point's.
     Per-cell failures are recorded in the cell (region ERR), a failure of a
     whole block in each of its cells, and never abort the sweep.
     """
@@ -335,9 +334,6 @@ def sweep(gamma_values, kappa_values, t_max: float = 200.0) -> list[PhaseCell]:
             size = _scan_intervals(sol, t_max) + 1
         except Exception as exc:  # recorded, not raised
             cells[i] = _error_record(g, k, exc)
-            continue
-        if sol.method != ROOT_SUM:
-            _classify_into(cells, points, [(i, sol)], t_max)
             continue
         if block and held + size > _BLOCK_POINTS:
             _classify_into(cells, points, block, t_max)

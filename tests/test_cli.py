@@ -447,6 +447,19 @@ def test_markov_limit_manifest_roots(tmp_path):
     assert roots[0] == pytest.approx(4.8368, abs=1e-3)
 
 
+def test_gfun_double_root_is_a_root_sum(tmp_path):
+    # kappa = 0, gamma_w = 2: a double root, evaluated by the one modal kernel
+    out = tmp_path / "g.csv"
+    code = run([
+        "gfun", "--gamma-w", "2.0", "--kappa", "0.0",
+        "--t-max", "5", "--dt", "0.1", "--out", str(out),
+    ])
+    assert code == 0
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert manifest["method"] == "root-sum"
+    assert [row[1] for row in _read_csv(out)[1:]] == ["1"] * 51
+
+
 def test_json_format_output(tmp_path):
     out = tmp_path / "g.json"
     code = run([

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nmgeo.gfunction
 from nmgeo import (
     GridSpec,
     ModelParams,
@@ -18,16 +19,19 @@ from nmgeo import (
     ode_state_matrix,
     solve_g,
 )
+from nmgeo.dynamics import non_markovianity
 from nmgeo.gfunction import (
     MARKOV,
-    ODE_FALLBACK,
     ROOT_SUM,
     _bisect_brackets,
     _critical_points,
     _sign_changes,
 )
+from nmgeo.phasediagram import GREEN_BLUE_JOIN, blue_boundary, classify_point, sweep
 
 from conftest import EXCEPTION_POINT, MARKOV_POINT, REF_POINT
+
+JOIN_KAPPA = 3.0 * math.sqrt(3.0) / 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +240,89 @@ def test_eval_does_not_depend_on_batch(ref_gsol):
     "point", [REF_POINT, dict(kappa=0.0, gamma_w=2.0), dict(kappa=0.5, gamma_w=math.inf)]
 )
 def test_eval_empty_input(point):
-    # one point per representation: root-sum, ODE fallback, Markov
+    # root-sum, a double root and a Markov bath
     for values in solve_g(ModelParams(**point)).eval([]):
         assert values.shape == (0,) and values.dtype == float
 
 
-def test_degenerate_roots_fall_back_to_ode():
+def test_degenerate_roots_stay_accurate():
     # kappa = 0, gamma_w = 2 Gamma_w puts a double root at x = -gamma_w
     sol = solve_g(ModelParams(kappa=0.0, gamma_w=2.0))
-    assert sol.method == ODE_FALLBACK
+    assert sol.method == ROOT_SUM
     ts = np.linspace(0.0, 50.0, 501)
-    assert np.max(np.abs(sol.g(ts) - 1.0)) < 1e-10
+    assert np.max(np.abs(sol.g(ts) - 1.0)) < 1e-13
 
     near = solve_g(ModelParams(kappa=1e-9, gamma_w=2.0))
-    assert near.method == ODE_FALLBACK
-    assert np.max(np.abs(near.g(ts) - 1.0)) < 1e-8
+    assert near.method == ROOT_SUM
+    assert np.max(np.abs(near.g(ts) - 1.0)) < 1e-13
+
+
+def _oracle_error(gamma_w: float, kappa: float) -> float:
+    """Largest |difference| of g, g', g'' from g_ode_oracle on [0, 200]."""
+    p = ModelParams(kappa=kappa, gamma_w=gamma_w)
+    grid = GridSpec.uniform(200.0, 0.05)
+    oracle = g_ode_oracle(p, grid)
+    values = solve_g(p).eval(grid.times())
+    return max(float(np.max(np.abs(v - oracle[k]))) for v, k in zip(values, ("g", "gp", "gpp")))
+
+
+# double roots on the blue curve, kappa = blue(gamma_w) (1 + d); the triple
+# root at the join, along kappa and along gamma_w; a double root at kappa ~ 0
+DEGENERATE_POINTS = [
+    pytest.param(gw, blue_boundary(gw) * (1.0 + d), id=f"blue-{gw}-{d:g}")
+    for gw in (1.8, 2.1, 2.4, 2.9)
+    for d in (1e-4, 1e-8, 1e-12, 0.0, -1e-12, -1e-8)
+]
+DEGENERATE_POINTS += [
+    pytest.param(GREEN_BLUE_JOIN, JOIN_KAPPA * (1.0 + d), id=f"join-kappa-{d:g}")
+    for d in (1e-4, 1e-6, 0.0)
+]
+DEGENERATE_POINTS += [
+    pytest.param(GREEN_BLUE_JOIN * (1.0 + d), JOIN_KAPPA, id=f"join-gamma-{d:g}")
+    for d in (1e-4, 1e-6)
+]
+DEGENERATE_POINTS += [pytest.param(2.0, 0.0, id="double-0"), pytest.param(2.0, 1e-9, id="double-1e-9")]
+
+
+@pytest.mark.parametrize("gamma_w, kappa", DEGENERATE_POINTS)
+def test_repeated_roots_match_ode_oracle(gamma_w, kappa):
+    # the root sum's weights grow like 1/p'(x_i): at the blue curve it was
+    # off by 4.5e-4; the confluent form holds to the oracle's own accuracy
+    assert _oracle_error(gamma_w, kappa) <= 1e-11
+
+
+@pytest.mark.parametrize("d", np.logspace(-1.0, -6.0, 11))
+def test_join_neighbourhood_matches_ode_oracle(d):
+    # crosses the switch from the root sum (|w| <= 64) to the confluent form
+    for gamma_w, kappa in [
+        (GREEN_BLUE_JOIN, JOIN_KAPPA * (1.0 + d)),
+        (GREEN_BLUE_JOIN, JOIN_KAPPA * (1.0 - d)),
+        (GREEN_BLUE_JOIN * (1.0 + d), JOIN_KAPPA),
+        (GREEN_BLUE_JOIN * (1.0 - d), JOIN_KAPPA),
+    ]:
+        assert _oracle_error(gamma_w, kappa) <= 1e-10, (gamma_w, kappa)
+
+
+def test_no_ode_integration_outside_the_oracle(count_calls):
+    integrations = count_calls(nmgeo.gfunction, "solve_ivp")
+    points = [
+        (2.0, 0.0),
+        (2.0, 1e-9),
+        (2.4, blue_boundary(2.4)),
+        (GREEN_BLUE_JOIN, JOIN_KAPPA),
+        (math.inf, 0.5),
+    ]
+    for gamma_w, kappa in points:
+        p = ModelParams(kappa=kappa, gamma_w=gamma_w)
+        sol = solve_g(p)
+        sol.eval(np.linspace(0.0, 300.0, 7))
+        find_g_roots(sol, 50.0)
+        classify_point(gamma_w, kappa, t_max=50.0)
+        sweep([gamma_w], [kappa], t_max=50.0)
+        non_markovianity(p, 50.0)
+    assert integrations() == 0
+    g_ode_oracle(ModelParams(kappa=JOIN_KAPPA, gamma_w=GREEN_BLUE_JOIN), GridSpec.uniform(1.0, 0.1))
+    assert integrations() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +487,7 @@ def test_batched_bisection_matches_scalar_reference(order):
         dict(gamma_w=1.3551144553589063, kappa=0.5923015159294286),
         dict(gamma_w=1.1195995087147772, kappa=0.5201632003595308),
     ]
-    # Markov bath, no roots of g, and g = 1 (ODE fallback): no brackets at all
+    # Markov bath, no roots of g, and g = 1 (a double root): no brackets at all
     points += [dict(kappa=0.5, gamma_w=math.inf), MARKOV_POINT, dict(kappa=0.0, gamma_w=2.0)]
     counts = []
     for point in points:

@@ -366,8 +366,11 @@ def test_sweep_cells_equal_classify_point_alone(readme_sweep):
     cells, _ = readme_sweep
     alone = [classify_point(g, k, t_max=200.0) for g in README_GAMMAS for k in README_KAPPAS]
     assert cells == alone
-    # ODE fallback (gamma_w = 2, kappa = 0), Markov bath and root-sum cells together
-    gammas, kappas = [0.5, 2.0, math.inf], [0.0, 0.3, 0.43]
+    # separated, confluent (a double root on the blue curve at 2.4, the triple
+    # root at the join) and Markov-bath cells batched together
+    join_kappa = 3.0 * math.sqrt(3.0) / 16.0
+    gammas = [0.5, 2.0, 2.4, GREEN_BLUE_JOIN, math.inf]
+    kappas = [0.0, 1e-9, 0.3, 0.43, blue_boundary(2.4), join_kappa]
     assert sweep(gammas, kappas, t_max=50.0) == [
         classify_point(g, k, t_max=50.0) for g in gammas for k in kappas
     ]
