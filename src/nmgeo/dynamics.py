@@ -204,7 +204,7 @@ def non_markovianity(p: ModelParams, t_max: float, dt: float = 0.01) -> NonMarko
     validate_params(p)
     sol = solve_g(p)
     _, crit, crit_abs_g = _critical_points([sol], t_max)[0]
-    # intervals narrower than the 1e-12 bisection tolerance are not resolved
+    # intervals narrower than the zero refiner's 1e-12 tolerance are not resolved
     rises = np.nonzero((np.diff(crit_abs_g) > 0.0) & (np.diff(crit) >= 1e-12))[0]
     windows = [(float(crit[i]), float(crit[i + 1])) for i in rises]
     grid = GridSpec.uniform(t_max, dt)

@@ -59,6 +59,12 @@ def _check_theta(theta: float):
         raise OutOfRangeAngle(f"theta must lie in [0, pi], got {theta}")
 
 
+def _pole_state(theta: float) -> bool:
+    """Pole state (theta near 0 or pi): the smaller population min(cos^2(theta/2), sin^2(theta/2))
+    is below POLE_G_TOL, where the Im beta divergence is narrower than the pole mask resolves."""
+    return min(math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2) < POLE_G_TOL
+
+
 def _eta_of(g: np.ndarray, cth: float, phase: np.ndarray) -> np.ndarray:
     return (g * (1.0 + cth) + (1.0 - cth) * phase) / (
         g * (1.0 - cth) + (1.0 + cth) * phase
@@ -102,11 +108,12 @@ def geometric_phase(
 ) -> PhaseSeries:
     """Full phase bundle on the grid, with divergence times from the g-roots.
 
-    For the pole states theta in {0, pi}, eta is g e^{-i omega t} or
-    e^{i omega t} / g, so phi_T = phi_d and beta = 0 exactly, with no pole
-    samples, divergence times or windings.  At theta = pi the log g term of
-    phi_d has coefficient zero and is dropped, so the phases stay finite
-    through zeros of g; at theta = 0 they are NaN where |g| < 1e-12.
+    For the pole states at theta = 0 and pi (see _pole_state), eta is taken
+    as g e^{-i omega t} or e^{i omega t} / g, so phi_T = phi_d and beta = 0
+    exactly, with no pole samples, divergence times or windings.  Near pi
+    the log g term of phi_d has coefficient 1 + cos(theta) < 2 POLE_G_TOL and
+    is dropped, so the phases stay finite through zeros of g; near 0 they are
+    NaN where |g| < 1e-12.
     """
     validate_params(p)
     _check_theta(theta)
@@ -114,7 +121,7 @@ def geometric_phase(
     ts = grid.times()
     g = sol.g(ts)
     cth = math.cos(theta)
-    pole_state = abs(cth) == 1.0
+    pole_state = _pole_state(theta)
 
     if pole_state:
         roots, windings = [], []
@@ -161,7 +168,7 @@ def beta_imag_at(p: ModelParams, theta: float, sol: GSolution, t) -> np.ndarray:
     _check_theta(theta)
     cth = math.cos(theta)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if abs(cth) == 1.0:
+    if _pole_state(theta):
         return np.zeros(t.size)
     g = sol.g(t)
     eta = _eta_of(g, cth, np.exp(1j * p.omega * t))
@@ -174,11 +181,11 @@ def divergence_report(p: ModelParams, theta: float, t_max: float) -> list:
 
     growth_ok checks that |Im beta| strictly grows on both sides as the
     sampling offset shrinks through 1e-3, 1e-5, 1e-7 (logarithmic
-    divergence).  Pole states theta in {0, pi} report an empty list.
+    divergence).  Pole states (see _pole_state) report an empty list.
     """
     validate_params(p)
     _check_theta(theta)
-    if abs(math.cos(theta)) == 1.0:
+    if _pole_state(theta):
         return []
     sol = solve_g(p)
     out = []

@@ -10,9 +10,10 @@ whose modes are exp(x t / 2) with x running over the roots of
     x^3 + 2 gamma_w x^2 + (4 kappa^2 + 2 gamma_w Gamma_w) x + 8 kappa^2 gamma_w = 0.
 
 One modal kernel evaluating g for every parameter point (the root sum, or a
-confluent form near repeated roots and for the memory-less bath), an
-independent high-order ODE oracle, and the one scan-and-bisect that finds
-the zeros of g and the critical points of |g| all live here.
+confluent form near repeated roots and for the memory-less bath), its one
+zero refiner (Newton on the kernel's own slopes), an independent high-order
+ODE oracle, and the one scan that brackets the zeros of g and the critical
+points of |g| all live here.
 """
 
 from __future__ import annotations
@@ -59,17 +60,7 @@ def ode_state_matrix(p: ModelParams) -> np.ndarray:
 
     Its eigenvalues are x_i / 2 for the characteristic roots x_i.
     """
-    return np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [
-                -p.gamma_w * p.kappa**2,
-                -0.5 * (p.gamma_w * p.Gamma_w + 2.0 * p.kappa**2),
-                -p.gamma_w,
-            ],
-        ]
-    )
+    return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], _ode_row(p)])
 
 
 def cubic_roots(p: ModelParams) -> np.ndarray:
@@ -213,8 +204,9 @@ class _ModalCells:
     three real roots (b = 0, B = 0).  Any other cell, near a double or triple
     root or a Markov bath, holds the confluent form of _confluent_rows.  g'
     and g'' share each form's basis functions and differ only in their
-    weights.  Every value is computed elementwise, so a cell's values do not
-    depend on the cells held with it.
+    weights; each cell's ODE row gives g''' for the Newton slopes of refine.
+    Every value is computed elementwise, so a cell's values do not depend on
+    the cells held with it.
     """
 
     def __init__(self, sols: list[GSolution]):
@@ -222,6 +214,7 @@ class _ModalCells:
         self._params = np.zeros((16, len(sols)))
         rates, freq = self._params[:3], self._params[3]
         weights = self._params[4:].reshape(4, 3, -1)
+        self._ode = np.array([_ode_row(sol.params) for sol in sols]).T
         self._newton = np.zeros((13, len(sols)))
         self._confluent = np.zeros(len(sols), dtype=bool)
         for c, sol in enumerate(sols):
@@ -246,16 +239,59 @@ class _ModalCells:
     def eval(self, t: np.ndarray, cell: np.ndarray | None = None):
         """(g, g', g'') at the times t[i] of the cells cell[i].
 
-        With cell None, the only cell of a one-cell kernel at every time.
+        A one-cell kernel, or cell None, takes the only cell at every time.
         """
         if not self._any_confluent:
-            return self._eval_separated(t, cell)
+            return self._eval_separated(t, None if self._confluent.size == 1 else cell)
         cell = np.zeros(t.size, dtype=np.intp) if cell is None else cell
         confluent = self._confluent[cell]
         out = np.empty((3, t.size))
         out[:, ~confluent] = self._eval_separated(t[~confluent], cell[~confluent])
         out[:, confluent] = self._eval_confluent(t[confluent], cell[confluent])
         return out[0], out[1], out[2]
+
+    def slopes(self, t: np.ndarray, cell: np.ndarray, order: np.ndarray):
+        """(g^(m), g^(m+1)) at the times t[i] of the cells cell[i], m = order[i] in 0, 1, 2,
+        with g''' from each cell's ODE row."""
+        y = self.eval(t, cell)
+        y = np.array([*y, _third_derivative(*y, self._ode.take(cell, axis=1))])
+        i = np.arange(t.size)
+        return y[order, i], y[order + 1, i]
+
+    def refine(self, lo, hi, cell, order) -> np.ndarray:
+        """Zeros of g^(order[j]) of the cells cell[j] in [lo[j], hi[j]], refined together.
+
+        Each bracket holds one sign change.  Newton on the slope from slopes
+        starts at its left end.  A step that leaves the bracket, or has a
+        zero or NaN slope, is replaced by the midpoint, and each new sign
+        shrinks the bracket.  A bracket is done once its step or its width
+        is below 1e-12, or its value is exactly 0.  cell and order may be
+        scalars shared by every bracket.
+        """
+        t = lo = np.array(lo, dtype=float)
+        hi, j, zeros = np.array(hi, dtype=float), np.arange(lo.size), lo.copy()
+        cell, order = j * 0 + cell, j * 0 + order
+        v, s = self.slopes(t, cell, order)
+        neg, go = v < 0.0, v != 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope steps out
+            for _ in range(200):
+                new = t - v / s
+                # before the bracket test: a converged step may land on a bracket end
+                go &= ~(np.abs(new - t) < 1e-12)
+                if not (j.size and go.all()):  # compact the state onto the live brackets
+                    zeros[j] = t
+                    if not go.any():
+                        return zeros
+                    j, new, lo, hi, neg, cell, order = (
+                        a[go] for a in (j, new, lo, hi, neg, cell, order)
+                    )
+                t = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+                v, s = self.slopes(t, cell, order)
+                low = (v < 0.0) == neg
+                lo, hi = np.where(low, t, lo), np.where(low, hi, t)
+                go = (v != 0.0) & (hi - lo >= 1e-12)
+        zeros[j] = t
+        return zeros
 
     def _eval_separated(self, t, cell):
         def rows(a, b):
@@ -315,10 +351,11 @@ def _confluent_rows(sol: GSolution) -> list[float]:
     p = sol.params
     gw, Gw, k2 = p.gamma_w, p.Gamma_w, p.kappa**2
     y = [1.0, 0.0, -k2]
+    for _ in range(2):
+        y.append(_third_derivative(*y[-3:], _ode_row(p)))
     if sol.method == MARKOV:
         alpha = r0 = -Gw / 4.0
         sigma = (Gw**2 - 16.0 * k2) / 16.0
-        y.append(-0.5 * Gw * y[2] - k2 * y[1])
     else:
         real = np.sort(sol.roots[sol.roots.imag == 0.0].real / 2.0)
         r0 = real[0] if real.size == 1 or real[1] - real[0] > real[2] - real[1] else real[2]
@@ -326,8 +363,6 @@ def _confluent_rows(sol: GSolution) -> list[float]:
         alpha = -(gw + r0) / 2.0
         b0 = k2 + 0.5 * gw * Gw - 2.0 * alpha * r0
         sigma = alpha**2 - b0
-        for _ in range(2):
-            y.append(_third_derivative(*y[-3:], gw, Gw, k2))
     weights = np.zeros((3, 3))  # basis function, derivative order
     for m in range(3):
         weights[:2, m] = y[m], y[m + 1] - alpha * y[m]
@@ -336,13 +371,23 @@ def _confluent_rows(sol: GSolution) -> list[float]:
     return [alpha, sigma, r0, r0 - alpha, *weights.ravel()]
 
 
-def _third_derivative(g, gp, gpp, gw, Gw, k2):
-    """g''' from (g, g', g'') by the ODE, for gamma_w = gw, Gamma_w = Gw, kappa^2 = k2."""
-    return -gw * gpp - 0.5 * (gw * Gw + 2.0 * k2) * gp - gw * k2 * g
+def _ode_row(p: ModelParams) -> tuple[float, float, float]:
+    """(c0, c1, c2) with g''' = c0 g + c1 g' + c2 g'': the third-order equation,
+    or for a Markov bath the derivative of g'' = -Gamma_w g'/2 - kappa^2 g."""
+    k2 = p.kappa**2
+    if p.is_markov_limit:
+        return 0.0, -k2, -0.5 * p.Gamma_w
+    return -p.gamma_w * k2, -0.5 * (p.gamma_w * p.Gamma_w + 2.0 * k2), -p.gamma_w
 
 
-def _g_rhs(t, y, gw, Gw, k2):
-    return [y[1], y[2], _third_derivative(*y, gw, Gw, k2)]
+def _third_derivative(g, gp, gpp, row):
+    """g''' from (g, g', g'') by the ODE row (c0, c1, c2) of _ode_row."""
+    c0, c1, c2 = row
+    return c2 * gpp + c1 * gp + c0 * g
+
+
+def _g_rhs(t, y, row):
+    return [y[1], y[2], _third_derivative(*y, row)]
 
 
 def _integrate_g(p: ModelParams, t_span, t_eval):
@@ -350,7 +395,7 @@ def _integrate_g(p: ModelParams, t_span, t_eval):
         _g_rhs,
         t_span,
         [1.0, 0.0, -p.kappa**2],
-        args=(p.gamma_w, p.Gamma_w, p.kappa**2),
+        args=(_ode_row(p),),
         method="DOP853",
         rtol=1e-13,
         atol=1e-15,
@@ -385,33 +430,6 @@ def g_markov_limit_deriv(Gamma_w: float, kappa: float, t) -> np.ndarray:
     return solve_g(ModelParams(kappa=kappa, gamma_w=math.inf, Gamma_w=Gamma_w)).eval(t)[1]
 
 
-def _bisect_brackets(f, lo, hi) -> np.ndarray:
-    """Zeros in the brackets [lo[j], hi[j]] of the functions f(t, j), bisected together.
-
-    f(t, j) gives, for each bracket index in the array j, its function at
-    the time in t.  Per bracket, mid = (lo + hi)/2 is the zero once
-    hi - lo < 1e-12 or f(mid) == 0 (the bracket then collapses onto it),
-    else the half whose sign differs from that at lo is kept, for at most
-    200 halvings.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = f(lo, np.arange(lo.size))
-    neg = flo < 0.0
-    hi[flo == 0.0] = lo[flo == 0.0]
-    for _ in range(200):
-        live = np.nonzero(hi - lo >= 1e-12)[0]
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        fm = f(mid, live)
-        hit = fm == 0.0
-        same = (fm < 0.0) == neg[live]
-        lo[live[same | hit]] = mid[same | hit]
-        hi[live[~same | hit]] = mid[~same | hit]
-    return 0.5 * (lo + hi)
-
-
 def _scan_intervals(sol: GSolution, t_max: float) -> int:
     """Number of steps of the root-scan grid np.linspace(0, t_max, n + 1)."""
     if not (t_max > 0.0):
@@ -420,7 +438,7 @@ def _scan_intervals(sol: GSolution, t_max: float) -> int:
 
 
 def find_g_roots(sol: GSolution, t_max: float) -> list[float]:
-    """Times of sign changes of g in (0, t_max], refined to ~1e-12.
+    """Times of sign changes of g in (0, t_max], refined by _ModalCells.refine.
 
     Tangential touches (no sign change) are not reported; an empty list is
     a valid result.  See _critical_points for the scan.
@@ -434,15 +452,16 @@ def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
     All cells are evaluated together by one stacked kernel, _ModalCells,
     whatever their form, and scanned in chunks of _SCAN_CHUNK samples.  Each
     cell scans g and g'' on its grid np.linspace(0, t_max, n + 1), n from
-    _scan_intervals, and one bisection refines every sign change of both; a
-    sample exactly at zero between samples of opposite sign is a zero
-    itself.  g' is monotone between consecutive zeros of g'' (with 0 and
-    t_max as the outer ends), so its zeros are bracketed there, which also
-    catches lobes of g' narrower than the scan step.  The critical points
+    _scan_intervals, and one call of _ModalCells.refine refines every sign
+    change of both, each bracket with its own derivative order; a sample
+    exactly at zero between samples of opposite sign is a zero itself.  g'
+    is monotone between consecutive zeros of g'' (with 0 and t_max as the
+    outer ends), so a second call refines its zeros bracketed there, which
+    also catches lobes of g' narrower than the scan step.  The critical points
     {0, zeros of g, zeros of g', t_max} come sorted, and |g| is monotone
     between consecutive ones; the zeros of g come sorted too.
     """
-    f = _ModalCells(sols).eval
+    cells = _ModalCells(sols)
     n_cells = len(sols)
     ids = np.arange(n_cells)
 
@@ -464,23 +483,19 @@ def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
         width = min(_SCAN_CHUNK, size - a)
         # two samples past the chunk, so sign changes across its end are seen once
         t, c = grid(np.arange(a, min(a + width + 2, size)))
-        g, _, gpp = f(t, c)
+        g, _, gpp = cells.eval(t, c)
         for m, values in enumerate((g, gpp)):
             i, k = _sign_changes(values, c)
             found[2 * m].append(a + i[i < width])
             found[2 * m + 1].append(a + k[k <= width])
     ig, kg, i2, k2 = (np.concatenate(ks) for ks in found)
 
-    # sign changes of g and g'' on the grids, bisected together
+    # sign changes of g and g'' on the grids, refined together
     i = np.concatenate([ig, i2])
     (t_lo, owner), (t_hi, _) = grid(i), grid(i + 1)
-    of_g = np.arange(i.size) < ig.size
-
-    def g_or_gpp(tm, j):
-        v = f(tm, owner[j])
-        return np.where(of_g[j], v[0], v[2])
-
-    z = _bisect_brackets(g_or_gpp, t_lo, t_hi)
+    order = np.repeat([0, 2], [ig.size, i2.size])
+    z = cells.refine(t_lo, t_hi, owner, order)
+    of_g = order == 0
     (tg, cg), (t2, c2) = grid(kg), grid(k2)
     zg, zg_cell = _sorted_by_cell([z[of_g], tg], [owner[of_g], cg])
     z2, z2_cell = np.concatenate([z[~of_g], t2]), np.concatenate([owner[~of_g], c2])
@@ -489,18 +504,18 @@ def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
     ends, end_cell = _sorted_by_cell(
         [np.zeros(n_cells), z2, np.full(n_cells, t_max)], [ids, z2_cell, ids]
     )
-    gp_ends = f(ends, end_cell)[1]
+    gp_ends = cells.eval(ends, end_cell)[1]
     # g'(0) = 0 by the initial condition; a rounded root sum there would
     # bracket a spurious zero of g' next to t = 0
     gp_ends[ends == 0.0] = 0.0
     j, k1 = _sign_changes(gp_ends, end_cell)
-    zp = _bisect_brackets(lambda tm, m: f(tm, end_cell[j[m]])[1], ends[j], ends[j + 1])
+    zp = cells.refine(ends[j], ends[j + 1], end_cell[j], 1)
 
     crit, crit_cell = _sorted_by_cell(
         [np.zeros(n_cells), zg, zp, ends[k1], np.full(n_cells, t_max)],
         [ids, zg_cell, end_cell[j], end_cell[k1], ids],
     )
-    abs_g = np.abs(f(crit, crit_cell)[0])
+    abs_g = np.abs(cells.eval(crit, crit_cell)[0])
     zg_cut, crit_cut = np.searchsorted(zg_cell, ids[1:]), np.searchsorted(crit_cell, ids[1:])
     return list(
         zip(np.split(zg, zg_cut), np.split(crit, crit_cut), np.split(abs_g, crit_cut))

@@ -20,6 +20,7 @@ from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
     GSolution,
     _critical_points,
+    _ode_row,
     _scan_intervals,
     _sign_changes,
     _third_derivative,
@@ -99,40 +100,17 @@ def _first_gp_maximum(gamma_w: float, kappa: float):
     """(t, g'(t)) at the first interior local maximum of g' on (0, _T_SCAN], or None.
 
     Bracketed by the second sign change of g'' on _N_SCAN samples (the first
-    is the minimum of g', since g''(0) = -kappa^2 < 0), then refined by
-    Newton on g'' with g''' from the ODE, from the bracket's left sample.
-    Each new sign of g'' shrinks the bracket, and a Newton step that leaves
-    it is replaced by its midpoint.  The refine stops once a step or the
-    bracket is below 1e-12, or g'' is exactly 0.
+    is the minimum of g', since g''(0) = -kappa^2 < 0), then refined as a
+    zero of g'' by the kernel's one zero refiner, _ModalCells.refine.
     """
     sol = _tangency_solution(gamma_w, kappa)
-    p = sol.params
     ts = np.linspace(1e-6, _T_SCAN, _N_SCAN)
-    g, gp, gpp = sol.eval(ts)
-    flips, _ = _sign_changes(gpp, np.zeros(ts.size, dtype=np.intp))
+    flips, _ = _sign_changes(sol.eval(ts)[2], np.zeros(ts.size, dtype=np.intp))
     if flips.size < 2:
         return None
-    i = flips[1]
-    lo, hi, neg_lo = ts[i], ts[i + 1], gpp[i] < 0.0
-    t, y = lo, (g[i], gp[i], gpp[i])
-    for _ in range(200):
-        gppp = _third_derivative(*y, p.gamma_w, p.Gamma_w, kappa**2)
-        t_new = t - y[2] / gppp if gppp != 0.0 else math.nan
-        # before the bracket test: a converged step may land on a bracket end
-        if abs(t_new - t) < 1e-12:
-            break
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        t, y = t_new, tuple(v[0] for v in sol.eval(t_new))
-        if y[2] == 0.0:
-            break
-        if (y[2] < 0.0) == neg_lo:
-            lo = t
-        else:
-            hi = t
-        if hi - lo < 1e-12:
-            break
-    return float(t), float(y[1])
+    i = flips[1:2]
+    t = sol._modal.refine(ts[i], ts[i + 1], 0, 2)
+    return float(t[0]), float(sol.eval(t)[1][0])
 
 
 def _tangency_newton(gamma_w: float, t: float, k: float, tol: float, max_iter: int):
@@ -143,10 +121,9 @@ def _tangency_newton(gamma_w: float, t: float, k: float, tol: float, max_iter: i
     tangency.  The t column of the Jacobian is (g'', g''')/kappa^2 in closed
     form, g''' from the ODE; only the kappa column is differenced.
     """
-    gw, Gw = gamma_w, _params(gamma_w, k).Gamma_w
 
     def state(t_, k_):
-        g, gp, gpp = _tangency_solution(gw, k_).eval(t_)
+        g, gp, gpp = _tangency_solution(gamma_w, k_).eval(t_)
         return g[0] / k_**2, np.array([gp[0], gpp[0]]) / k_**2
 
     g, fval = state(t, k)
@@ -154,7 +131,7 @@ def _tangency_newton(gamma_w: float, t: float, k: float, tol: float, max_iter: i
         if np.max(np.abs(fval)) < tol:
             return float(t), float(k)
         # g, g' and g'' divided by kappa^2, and so g''' too
-        gppp = _third_derivative(g, *fval, gw, Gw, k**2)
+        gppp = _third_derivative(g, *fval, _ode_row(_tangency_solution(gamma_w, k).params))
         hk = 1e-7 * max(1.0, k)
         jac = np.empty((2, 2))
         jac[:, 0] = (fval[1], gppp)
@@ -310,7 +287,8 @@ def classify_point(gamma_w: float, kappa: float, t_max: float = 200.0) -> PhaseC
 
     Roots in (0, t_max] => NM_DIV with the first root time; otherwise
     N_total > N_THRESHOLD => NM_NODIV, else M.  This is sweep's code on a
-    one-cell block; see _classify for how roots and N_total are found.
+    one-cell block: one scan, and one Newton refine of the zeros it
+    brackets; see _classify for how roots and N_total are found.
     """
     sol = solve_g(_params(gamma_w, kappa))
     return _record(gamma_w, kappa, *_classify([sol], t_max)[0])

@@ -2,7 +2,8 @@
 
 f_w_from_f_z differentiates a sampled F_z numerically, and evolve_lindblad
 integrates the Lindblad equation driven by F_z; both check the closed-form
-library routes against a second, independent computation.
+library routes against a second, independent computation.  _bisect_brackets
+halves brackets to 1e-12, the reference for the library's Newton refiner.
 """
 
 from __future__ import annotations
@@ -86,3 +87,30 @@ def evolve_lindblad(p: ModelParams, rho0: DensityMatrix2, grid: GridSpec, f_z) -
         grid,
         {"rho_ee": sol.y[0], "rho_eg": reg, "rho_ge": np.conj(reg), "rho_gg": sol.y[3]},
     )
+
+
+def _bisect_brackets(f, lo, hi) -> np.ndarray:
+    """Zeros in the brackets [lo[j], hi[j]] of the functions f(t, j), bisected together.
+
+    f(t, j) gives, for each bracket index in the array j, its function at
+    the time in t.  Per bracket, mid = (lo + hi)/2 is the zero once
+    hi - lo < 1e-12 or f(mid) == 0 (the bracket then collapses onto it),
+    else the half whose sign differs from that at lo is kept, for at most
+    200 halvings.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    flo = f(lo, np.arange(lo.size))
+    neg = flo < 0.0
+    hi[flo == 0.0] = lo[flo == 0.0]
+    for _ in range(200):
+        live = np.nonzero(hi - lo >= 1e-12)[0]
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = f(mid, live)
+        hit = fm == 0.0
+        same = (fm < 0.0) == neg[live]
+        lo[live[same | hit]] = mid[same | hit]
+        hi[live[~same | hit]] = mid[~same | hit]
+    return 0.5 * (lo + hi)

@@ -149,6 +149,21 @@ def test_divergence_report_empty_cases(ref_params):
     assert divergence_report(ref_params, math.pi, 20.0) == []
 
 
+@pytest.mark.parametrize("theta", [1e-7, 1e-9, math.pi - 1e-7, math.pi - 1e-9])
+def test_near_pole_angles_are_pole_states(ref_params, ref_gsol, theta):
+    # a population below POLE_G_TOL: its Im beta divergence is narrower than
+    # the pole mask resolves; 1e-7 and pi - 1e-7 reported 4 divergences while
+    # 1e-9 and pi - 1e-9, where cos(theta) rounds to +-1, reported none
+    ps = geometric_phase(ref_params, theta, GridSpec.uniform(20.0, 0.01), gsol=ref_gsol)
+    assert np.all(ps.series["beta"] == 0.0) and not np.any(ps.series["pole"])
+    assert ps.divergence_times == [] and divergence_report(ref_params, theta, 20.0) == []
+    assert np.all(beta_imag_at(ref_params, theta, ref_gsol, [5.0, 10.0]) == 0.0)
+
+
+def test_small_angle_is_not_a_pole_state(ref_params):
+    assert len(divergence_report(ref_params, 1e-5, 20.0)) == 4
+
+
 def test_beta_imag_pointwise_matches_series(ref_params, ref_gsol):
     grid = GridSpec.uniform(4.0, 0.01)
     ps = geometric_phase(ref_params, 0.9, grid, gsol=ref_gsol)

@@ -23,13 +23,13 @@ from nmgeo.dynamics import non_markovianity
 from nmgeo.gfunction import (
     MARKOV,
     ROOT_SUM,
-    _bisect_brackets,
     _critical_points,
     _sign_changes,
 )
 from nmgeo.phasediagram import GREEN_BLUE_JOIN, blue_boundary, classify_point, sweep
 
 from conftest import EXCEPTION_POINT, MARKOV_POINT, REF_POINT
+from oracles import _bisect_brackets
 
 JOIN_KAPPA = 3.0 * math.sqrt(3.0) / 16.0
 
@@ -476,6 +476,7 @@ def _bisect_root(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_batched_bisection_matches_scalar_reference(order):
+    # the batched reference bisector of tests/oracles.py against a scalar one
     rng = np.random.default_rng(7)
     points = [
         dict(gamma_w=float(gw), kappa=float(k))
@@ -503,3 +504,26 @@ def test_batched_bisection_matches_scalar_reference(order):
         assert batched.tolist() == expect
         counts.append(len(expect))
     assert min(counts) == 0 and sum(counts) > len(points)
+
+
+def test_newton_brackets_match_bisection_reference():
+    # the kernel's Newton refiner against halving to 1e-12, on every sign
+    # change of g, g' and g'' on the scan grid
+    rng = np.random.default_rng(5)
+    points = list(zip(rng.uniform(0.02, 3.0, 60), rng.uniform(0.005, 0.6, 60)))
+    # a double root on the blue curve, the triple root at the join, two
+    # Markov baths, g = 1 and a nearly free cavity
+    points += [(2.4, blue_boundary(2.4)), (GREEN_BLUE_JOIN, JOIN_KAPPA)]
+    points += [(math.inf, 0.5), (math.inf, 0.26), (2.0, 0.0), (2.0, 1e-9)]
+    count = 0
+    for gw, k in points:
+        sol = solve_g(ModelParams(kappa=float(k), gamma_w=float(gw)))
+        ts = np.linspace(0.0, 200.0, int(math.ceil(200.0 / sol.scan_step())) + 1)
+        values = sol.eval(ts)
+        for order in (0, 1, 2):
+            i, _ = _sign_changes(values[order], np.zeros(ts.size, dtype=np.intp))
+            newton = sol._modal.refine(ts[i], ts[i + 1], 0, order)
+            expect = _bisect_brackets(lambda t, j: sol.eval(t)[order], ts[i], ts[i + 1])
+            assert np.all(np.abs(newton - expect) <= 1e-12 * np.maximum(1.0, expect)), (gw, k)
+            count += i.size
+    assert count > 3000

@@ -27,7 +27,7 @@ from nmgeo import (
     tangency_point,
 )
 from nmgeo import phasediagram
-from nmgeo.gfunction import GSolution, _bisect_brackets, _sign_changes
+from nmgeo.gfunction import GSolution, _ModalCells, _sign_changes
 from nmgeo.phasediagram import (
     _N_SCAN,
     _T_SCAN,
@@ -35,6 +35,8 @@ from nmgeo.phasediagram import (
     _tangency_newton,
     _tangency_solution,
 )
+
+from oracles import _bisect_brackets
 
 JOIN_KAPPA = 3.0 * math.sqrt(3.0) / 16.0
 
@@ -117,7 +119,8 @@ def test_tangency_point_values_kept(gamma_w, kappa):
 
 
 def test_first_gp_maximum_matches_bisection_reference():
-    # the Newton refine against bisecting g'' to 1e-12 on the same scan bracket
+    # the shared Newton refiner against the reference bisector of tests/oracles.py,
+    # halving g'' to 1e-12 on the same scan bracket
     rng = np.random.default_rng(3)
     checked = 0
     for gw, u in zip(rng.uniform(0.02, 1.68, 80), rng.uniform(-4.0, 0.3, 80)):
@@ -137,13 +140,37 @@ def test_first_gp_maximum_matches_bisection_reference():
     assert checked >= 50
 
 
+CALL_POINTS = [(0.9, 0.43), (0.9, 0.1), (0.3, 0.23), (2.5, 0.5)]
+
+
 def test_first_gp_maximum_bisects_when_newton_leaves_bracket(monkeypatch):
-    # g''' a thousand times too small: Newton steps overshoot the bracket
+    # slopes a thousand times too small: every Newton step of the shared
+    # refiner overshoots, so its brackets shrink by midpoints
     expect = _first_gp_maximum(0.5, 0.2)
-    third = phasediagram._third_derivative
-    monkeypatch.setattr(phasediagram, "_third_derivative", lambda *a: 1e-3 * third(*a))
+    cells = [classify_point(g, k) for g, k in CALL_POINTS]
+    slopes, calls = _ModalCells.slopes, [0]
+
+    def scaled(self, *args):
+        calls[0] += 1
+        value, slope = slopes(self, *args)
+        return value, 1e-3 * slope
+
+    monkeypatch.setattr(_ModalCells, "slopes", scaled)
     t, gp = _first_gp_maximum(0.5, 0.2)
     assert abs(t - expect[0]) <= 1e-11 and abs(gp - expect[1]) <= 1e-15
+    assert calls[0] > 20  # about 40 halvings, where Newton takes a few steps
+    for (g, k), cell in zip(CALL_POINTS, cells):
+        again = classify_point(g, k)
+        assert again.region == cell.region, (g, k)
+        assert abs(again.n_total - cell.n_total) <= 1e-11, (g, k)
+
+
+@pytest.mark.parametrize("gamma_w, kappa", CALL_POINTS)
+def test_classify_point_kernel_calls(count_calls, gamma_w, kappa):
+    # halving every bracket to 1e-12 took 84, 41, 86 and 85 kernel calls here
+    calls = count_calls(_ModalCells, "eval")
+    classify_point(gamma_w, kappa)
+    assert calls() <= 30
 
 
 def test_tangency_curve_call_counts(count_calls):
