@@ -140,9 +140,15 @@ class GSolution:
         """(g, g', g'') at times t (scalar or array), as arrays shaped like t.
 
         Every value is computed elementwise by _ModalCells, so it does not
-        depend on the times evaluated with it.
+        depend on the times evaluated with it.  At t = inf, the limits: g' =
+        g'' = 0, and g = 1 at kappa = 0 (the zero root's weight), else 0.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        at_inf = t == math.inf
+        if at_inf.any():  # the kernel's 0 * inf terms would give NaN there
+            g, gp, gpp = self.eval(np.where(at_inf, 0.0, t))
+            g[at_inf], gp[at_inf], gpp[at_inf] = self.params.kappa == 0.0, 0.0, 0.0
+            return g, gp, gpp
         g, gp, gpp = self._modal.eval(t.ravel())
         return g.reshape(t.shape), gp.reshape(t.shape), gpp.reshape(t.shape)
 
@@ -386,33 +392,23 @@ def _third_derivative(g, gp, gpp, row):
     return c2 * gpp + c1 * gp + c0 * g
 
 
-def _g_rhs(t, y, row):
-    return [y[1], y[2], _third_derivative(*y, row)]
-
-
-def _integrate_g(p: ModelParams, t_span, t_eval):
-    sol = solve_ivp(
-        _g_rhs,
-        t_span,
-        [1.0, 0.0, -p.kappa**2],
-        args=(_ode_row(p),),
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-15,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise IntegrationFailure(f"g integration failed: {sol.message}")
-    return sol
-
-
 def g_ode_oracle(p: ModelParams, grid: GridSpec) -> TimeSeries:
     """g, g', g'' by adaptive integration, independent of the root-sum."""
     validate_params(p)
     if not p.resonant():
         raise NotResonant("the third-order g equation holds at resonance only")
-    ts = grid.times()
-    sol = _integrate_g(p, (ts[0], ts[-1]), t_eval=ts)
+    ts, row = grid.times(), _ode_row(p)
+    sol = solve_ivp(
+        lambda t, y: [y[1], y[2], _third_derivative(*y, row)],
+        (ts[0], ts[-1]),
+        [1.0, 0.0, -p.kappa**2],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-15,
+        t_eval=ts,
+    )
+    if not sol.success:
+        raise IntegrationFailure(f"g integration failed: {sol.message}")
     return TimeSeries(grid, {"g": sol.y[0], "gp": sol.y[1], "gpp": sol.y[2]})
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
@@ -82,18 +83,14 @@ def blue_boundary(gamma_w: float) -> float:
     return math.sqrt(k2)
 
 
-def _params(gamma_w: float, kappa: float) -> ModelParams:
-    return ModelParams(kappa=kappa, gamma_w=gamma_w)
-
-
 @lru_cache(maxsize=4)
 def _tangency_solution(gamma_w: float, kappa: float) -> GSolution:
     """solve_g at (gamma_w, kappa), remembered for the next few calls.
 
     A continued Newton ends on the kappa its first-lobe guard solves again,
-    and a bisection-seeded Newton starts on the kappa of the last lobe.
+    and a Brent-seeded Newton starts on a kappa the search just solved.
     """
-    return solve_g(_params(gamma_w, kappa))
+    return solve_g(ModelParams(kappa=kappa, gamma_w=gamma_w))
 
 
 def _first_gp_maximum(gamma_w: float, kappa: float):
@@ -174,10 +171,11 @@ def tangency_point(gamma_w: float) -> tuple[float, float]:
     """(t*, kappa*) solving g'(t*) = 0 = g''(t*) at the smallest kappa > 0.
 
     The double root makes a raw 2-d scan on |g'| + |g''| useless (both decay
-    exponentially, so spurious distant lobes win), so the seed comes from
-    bisecting kappa on the sign of g' at its first interior local maximum;
-    a damped Newton iteration then polishes (t, kappa) until both components
-    of (g', g'')/kappa^2 are below 1e-10.
+    exponentially, so spurious distant lobes win), so the seed comes from a
+    Brent search in kappa on the sign of g'/kappa^2 at its first interior
+    local maximum (none counts as negative); a damped Newton iteration then
+    polishes (t, kappa) until both components of (g', g'')/kappa^2 are below
+    1e-10, from the last kappa searched whose maximum is not negative.
     """
     _check_tangency_domain(gamma_w)
     k_hi = green_boundary(gamma_w)
@@ -194,16 +192,22 @@ def tangency_point(gamma_w: float) -> tuple[float, float]:
             "first lobe already positive at the lower kappa bracket",
             {"gamma_w": gamma_w, "kappa_lo": k_lo, "h_lo": h_lo},
         )
-    for _ in range(60):
-        k_mid = 0.5 * (k_lo + k_hi)
-        if k_mid in (k_lo, k_hi):  # float resolution: the bracket can no longer move
-            break
-        h = _first_gp_maximum(gamma_w, k_mid)
-        if h is None or h[1] < 0.0:
-            k_lo = k_mid
-        else:
-            k_hi, h_hi = k_mid, h
-    return _tangency_newton(gamma_w, h_hi[0], k_hi, _NEWTON_TOL, _NEWTON_ITER)
+    known = {k_lo: h_lo, k_hi: h_hi}  # brentq evaluates both ends first
+    seed = [h_hi[0], k_hi]
+
+    def height(k):
+        lobe = known.pop(k) if k in known else _first_gp_maximum(gamma_w, k)
+        if lobe is not None and lobe[1] >= 0.0:
+            seed[:] = lobe[0], k
+        # no lobe: negative, and near the -2/Gamma_w of small-kappa heights
+        return -1.0 if lobe is None else lobe[1] / k**2
+
+    try:  # to float resolution in kappa
+        brentq(height, k_lo, k_hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    except (ValueError, RuntimeError) as exc:  # a NaN height, or maxiter reached
+        details = {"gamma_w": gamma_w, "kappa_lo": k_lo, "kappa_hi": k_hi}
+        raise NoConvergence(f"kappa search on the first lobe of g' failed: {exc}", details) from exc
+    return _tangency_newton(gamma_w, *seed, _NEWTON_TOL, _NEWTON_ITER)
 
 
 def tangency_boundary(gamma_w: float) -> float:
@@ -225,12 +229,12 @@ def tangency_curve(gamma_values) -> list[TangencyPoint]:
     """Tangency points at each gamma_w, continued from one point to the next.
 
     The first gamma_w with a Markov region is seeded by tangency_point's
-    kappa bisection.  Each later point starts from a secant predictor
+    Brent search in kappa.  Each later point starts from a secant predictor
     through the two previous (t*, kappa*) (the previous one alone for the
     second) and is polished by the same Newton.  One first-lobe scan at the
     new kappa guards it: when the first maximum of g' is not at the Newton
     t (the continuation followed a later lobe), the point is recomputed by
-    bisection.  A point that fails is recorded with its error, never
+    tangency_point.  A point that fails is recorded with its error, never
     raised, and the next point is seeded afresh.
     """
     gammas = [float(gw) for gw in gamma_values]
@@ -251,7 +255,7 @@ def tangency_curve(gamma_values) -> list[TangencyPoint]:
 
 
 def _continued(gamma_w: float, done: list[TangencyPoint]) -> tuple[float, float]:
-    """Tangency at gamma_w continued from the previous points, else by bisection."""
+    """Tangency at gamma_w continued from the previous points, else by tangency_point."""
     a, b = done[0], done[-1]
     s = (gamma_w - b.gamma_w) / (b.gamma_w - a.gamma_w) if a.gamma_w != b.gamma_w else 0.0
     t0, k0 = b.t_star + s * (b.t_star - a.t_star), b.kappa + s * (b.kappa - a.kappa)
@@ -290,7 +294,7 @@ def classify_point(gamma_w: float, kappa: float, t_max: float = 200.0) -> PhaseC
     one-cell block: one scan, and one Newton refine of the zeros it
     brackets; see _classify for how roots and N_total are found.
     """
-    sol = solve_g(_params(gamma_w, kappa))
+    sol = solve_g(ModelParams(kappa=kappa, gamma_w=gamma_w))
     return _record(gamma_w, kappa, *_classify([sol], t_max)[0])
 
 
@@ -308,7 +312,7 @@ def sweep(gamma_values, kappa_values, t_max: float = 200.0) -> list[PhaseCell]:
     block, held = [], 0
     for i, (g, k) in enumerate(points):
         try:
-            sol = solve_g(_params(g, k))
+            sol = solve_g(ModelParams(kappa=k, gamma_w=g))
             size = _scan_intervals(sol, t_max) + 1
         except Exception as exc:  # recorded, not raised
             cells[i] = _error_record(g, k, exc)

@@ -3,7 +3,9 @@
 f_w_from_f_z differentiates a sampled F_z numerically, and evolve_lindblad
 integrates the Lindblad equation driven by F_z; both check the closed-form
 library routes against a second, independent computation.  _bisect_brackets
-halves brackets to 1e-12, the reference for the library's Newton refiner.
+halves brackets to 1e-12, the reference for the library's Newton refiner,
+and tangency_point_bisected seeds the tangency by halving kappa, the
+reference for the library's Brent search.
 """
 
 from __future__ import annotations
@@ -16,8 +18,17 @@ from nmgeo import (
     GridSpec,
     IntegrationFailure,
     ModelParams,
+    NoConvergence,
     TimeSeries,
     ValidationError,
+    green_boundary,
+)
+from nmgeo.phasediagram import (
+    _NEWTON_ITER,
+    _NEWTON_TOL,
+    _check_tangency_domain,
+    _first_gp_maximum,
+    _tangency_newton,
 )
 
 
@@ -114,3 +125,39 @@ def _bisect_brackets(f, lo, hi) -> np.ndarray:
         lo[live[same | hit]] = mid[same | hit]
         hi[live[~same | hit]] = mid[~same | hit]
     return 0.5 * (lo + hi)
+
+
+def tangency_point_bisected(gamma_w: float) -> tuple[float, float]:
+    """tangency_point seeded by halving kappa on the sign of the first lobe of g'.
+
+    The same bracket [green(gamma_w)/1e4, green(gamma_w)] and bracket checks
+    as the library's Brent search, then up to 60 halvings until the bracket
+    no longer moves in floating point; "no lobe" counts as negative.  The
+    damped Newton starts from the upper end, the last kappa whose lobe is
+    not negative, as the library's does.
+    """
+    _check_tangency_domain(gamma_w)
+    k_hi = green_boundary(gamma_w)
+    k_lo = k_hi / 1e4
+    h_lo = _first_gp_maximum(gamma_w, k_lo)
+    h_hi = _first_gp_maximum(gamma_w, k_hi)
+    if h_hi is None or h_hi[1] <= 0.0:
+        raise NoConvergence(
+            "no positive first lobe of g' at the green boundary",
+            {"gamma_w": gamma_w, "kappa_hi": k_hi, "h_hi": h_hi},
+        )
+    if h_lo is not None and h_lo[1] > 0.0:
+        raise NoConvergence(
+            "first lobe already positive at the lower kappa bracket",
+            {"gamma_w": gamma_w, "kappa_lo": k_lo, "h_lo": h_lo},
+        )
+    for _ in range(60):
+        k_mid = 0.5 * (k_lo + k_hi)
+        if k_mid in (k_lo, k_hi):  # float resolution: the bracket can no longer move
+            break
+        h = _first_gp_maximum(gamma_w, k_mid)
+        if h is None or h[1] < 0.0:
+            k_lo = k_mid
+        else:
+            k_hi, h_hi = k_mid, h
+    return _tangency_newton(gamma_w, h_hi[0], k_hi, _NEWTON_TOL, _NEWTON_ITER)

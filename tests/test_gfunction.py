@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,29 @@ def test_eval_empty_input(point):
     # root-sum, a double root and a Markov bath
     for values in solve_g(ModelParams(**point)).eval([]):
         assert values.shape == (0,) and values.dtype == float
+
+
+@pytest.mark.parametrize(
+    "point, g_inf",
+    [
+        (REF_POINT, 0.0),
+        (dict(kappa=0.5, gamma_w=math.inf), 0.0),
+        (dict(kappa=0.0, gamma_w=0.9), 1.0),
+        (dict(kappa=JOIN_KAPPA, gamma_w=GREEN_BLUE_JOIN), 0.0),
+    ],
+)
+def test_eval_at_infinity_is_the_limit(point, g_inf):
+    # root sum, Markov bath, kappa = 0 (g = 1) and the triple root (confluent form)
+    sol = solve_g(ModelParams(**point))
+    t = np.array([[0.0, 1.0], [1e300, math.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, gp, gpp = sol.eval(t)
+        alone = sol.eval(t[t < math.inf])
+    assert g.shape == gp.shape == gpp.shape == t.shape
+    assert (g[1, 1], gp[1, 1], gpp[1, 1]) == (g_inf, 0.0, 0.0)
+    assert all(np.array_equal(v[t < math.inf], a) for v, a in zip((g, gp, gpp), alone))
+    assert sol.eval(math.inf)[0][0] == g_inf
 
 
 def test_degenerate_roots_stay_accurate():

@@ -12,6 +12,8 @@ from nmgeo import (
     REGION_MARKOV,
     REGION_NONDIVERGENT,
     ModelParams,
+    NmgeoError,
+    NoConvergence,
     OutOfDomain,
     blue_boundary,
     classify_point,
@@ -36,7 +38,7 @@ from nmgeo.phasediagram import (
     _tangency_solution,
 )
 
-from oracles import _bisect_brackets
+from oracles import _bisect_brackets, tangency_point_bisected
 
 JOIN_KAPPA = 3.0 * math.sqrt(3.0) / 16.0
 
@@ -184,6 +186,73 @@ def test_tangency_curve_call_counts(count_calls):
     assert [p.error is None for p in points] == [False] + [True] * 32
     assert evals() <= 5393 // 2
     assert solves() <= 508
+
+
+def _tangency_or_error(find, gamma_w):
+    try:
+        return find(gamma_w)
+    except NmgeoError as exc:
+        return type(exc), str(exc)
+
+
+def test_tangency_point_matches_bisection_reference():
+    # the Brent seed against halving kappa (tests/oracles.py): both Newtons
+    # end on the same tangency, and the bracket checks fail alike below the
+    # endpoint at gamma_w ~ 0.0735
+    rng = np.random.default_rng(13)
+    for gw in [*rng.uniform(0.075, GREEN_BLUE_JOIN, 24), 1.60, 1.625, 1.65]:
+        (t, k), (t_ref, k_ref) = tangency_point(gw), tangency_point_bisected(gw)
+        assert abs(k - k_ref) <= 1e-13 * k_ref, gw
+        assert abs(t - t_ref) <= 1e-9, gw
+    for gw in (0.05, 0.06, 0.0725):
+        error = _tangency_or_error(tangency_point, gw)
+        assert error == _tangency_or_error(tangency_point_bisected, gw)
+        assert error == (NoConvergence, "first lobe already positive at the lower kappa bracket")
+
+
+@pytest.mark.parametrize("gamma_w", [0.1, 0.5, 1.0, 1.6, 1.65])
+def test_tangency_point_first_lobe_calls(count_calls, gamma_w):
+    # halving kappa took 54-57 first-lobe evaluations here
+    lobes = count_calls(phasediagram, "_first_gp_maximum")
+    tangency_point(gamma_w)
+    assert lobes() <= 24
+
+
+def test_tangency_curve_first_lobe_calls(count_calls):
+    # halving kappa took 145 first-lobe evaluations and 477 solve_g calls here
+    lobes = count_calls(phasediagram, "_first_gp_maximum")
+    solves = count_calls(phasediagram, "solve_g")
+    _tangency_solution.cache_clear()
+    tangency_curve(0.05 + 0.05 * np.arange(33))
+    assert lobes() <= 80
+    assert solves() <= 420
+
+
+@pytest.mark.parametrize(
+    "height, cause",
+    # NaN has no sign; a step just above the lower bracket end outlasts brentq's maxiter
+    [
+        (lambda k, k_lo: math.nan, ValueError),
+        (lambda k, k_lo: -1.0 if k < k_lo * (1.0 + 1e-7) else 1e300, RuntimeError),
+    ],
+    ids=["nan", "step"],
+)
+def test_tangency_search_failure_is_no_convergence(monkeypatch, height, cause):
+    gw = 0.5
+    k_hi = green_boundary(gw)
+    k_lo, first_lobe = k_hi / 1e4, phasediagram._first_gp_maximum
+
+    def patched(gamma_w, k):
+        # the true bracket ends pass the bracket checks; g' = height * kappa^2
+        return first_lobe(gamma_w, k) if k in (k_lo, k_hi) else (20.0, height(k, k_lo) * k * k)
+
+    monkeypatch.setattr(phasediagram, "_first_gp_maximum", patched)
+    with pytest.raises(NoConvergence, match="kappa search on the first lobe") as info:
+        tangency_point(gw)
+    assert isinstance(info.value.__cause__, cause)
+    assert info.value.diagnostics == {"gamma_w": gw, "kappa_lo": k_lo, "kappa_hi": k_hi}
+    point = tangency_curve([gw])[0]  # recorded in its row, not raised
+    assert point.kappa is None and point.error.startswith("kappa search on the first lobe")
 
 
 def test_tangency_domain():
