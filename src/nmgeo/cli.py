@@ -364,7 +364,8 @@ def _run_gfun(cfg: RunConfig):
     sol = solve_g(cfg.params())
     grid = cfg.grid()
     g, gp, _ = sol.eval(grid.times())
-    return TimeSeries(grid, {"g": g, "gp": gp}), {"method": sol.method}
+    series = TimeSeries(grid, {"g": g, "gp": gp})
+    return series, {"method": sol.method, "confluent": sol.confluent}
 
 
 def _run_phase(cfg: RunConfig):
@@ -396,7 +397,7 @@ def _run_dynamics(cfg: RunConfig):
             "D": np.abs(g),
         },
     )
-    return series, {"method": sol.method}
+    return series, {"method": sol.method, "confluent": sol.confluent}
 
 
 def _run_nonmarkov(cfg: RunConfig):
@@ -477,9 +478,10 @@ def _run_markov_limit(cfg: RunConfig):
     grid = cfg.grid()
     ts = grid.times()
     p = ModelParams(kappa=cfg.kappa, gamma_w=math.inf, Gamma_w=cfg.Gamma_w)
-    g, gp, _ = solve_g(p).eval(ts)
+    sol = solve_g(p)
+    g, gp, _ = sol.eval(ts)
     series = TimeSeries(grid, {"g": g, "gp": gp, "D": np.abs(g)})
-    extras: dict = {"root_times": []}
+    extras: dict = {"confluent": sol.confluent, "root_times": []}
     if cfg.Gamma_w == 1.0 and cfg.kappa > 0.25:
         delta = cfg.kappa - 0.25
         # two roots per period of the oscillation, so n covers every root <= t_max

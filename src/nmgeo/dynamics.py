@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure, ValidationError
-from .gfunction import GSolution, _critical_points, solve_g
+from .gfunction import GSolution, _critical_points, solve_g, solve_ivp
 from .model import DensityMatrix2, GridSpec, ModelParams, TimeSeries, validate_params
 
 FROM_G = "from-g"
@@ -69,7 +68,7 @@ def f_w_closed_form(sol: GSolution, t) -> np.ndarray:
 
 
 def f_ode_oracle(p: ModelParams, grid: GridSpec) -> OCoefficients:
-    """F_z, F_w by direct integration of their coupled equations.
+    """F_z, F_w by direct integration (scipy's DOP853) of their coupled equations.
 
         F_z' = kappa - i F_w + i (omega - omega_c) F_z + kappa F_z^2
         F_w' = -i (gamma_w Gamma_w / 2) F_z

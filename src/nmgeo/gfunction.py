@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure, NotResonant
 from .model import GridSpec, ModelParams, TimeSeries, validate_params
@@ -156,6 +155,14 @@ class GSolution:
     def _modal(self) -> _ModalCells:
         return _ModalCells([self])
 
+    @cached_property
+    def confluent(self) -> bool:
+        """True where _ModalCells takes the confluent form: a Markov bath, or a
+        root sum with a weight above _ROOT_SUM_MAX_WEIGHT (or not finite)."""
+        if self.method != ROOT_SUM:
+            return True
+        return not np.all(np.abs(self.weights) <= _ROOT_SUM_MAX_WEIGHT)
+
     def g(self, t) -> np.ndarray:
         return self.eval(t)[0]
 
@@ -224,7 +231,7 @@ class _ModalCells:
         self._newton = np.zeros((13, len(sols)))
         self._confluent = np.zeros(len(sols), dtype=bool)
         for c, sol in enumerate(sols):
-            if sol.method != ROOT_SUM or not np.all(np.abs(sol.weights) <= _ROOT_SUM_MAX_WEIGHT):
+            if sol.confluent:
                 self._confluent[c] = True
                 self._newton[:, c] = _confluent_rows(sol)
                 continue
@@ -392,8 +399,16 @@ def _third_derivative(g, gp, gpp, row):
     return c2 * gpp + c1 * gp + c0 * g
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported when called: only the ODE oracles
+    integrate, so importing nmgeo does not load scipy.integrate."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def g_ode_oracle(p: ModelParams, grid: GridSpec) -> TimeSeries:
-    """g, g', g'' by adaptive integration, independent of the root-sum."""
+    """g, g', g'' by adaptive integration (scipy's DOP853), independent of the root-sum."""
     validate_params(p)
     if not p.resonant():
         raise NotResonant("the third-order g equation holds at resonance only")

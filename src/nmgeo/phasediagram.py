@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
@@ -172,10 +171,11 @@ def tangency_point(gamma_w: float) -> tuple[float, float]:
 
     The double root makes a raw 2-d scan on |g'| + |g''| useless (both decay
     exponentially, so spurious distant lobes win), so the seed comes from a
-    Brent search in kappa on the sign of g'/kappa^2 at its first interior
-    local maximum (none counts as negative); a damped Newton iteration then
-    polishes (t, kappa) until both components of (g', g'')/kappa^2 are below
-    1e-10, from the last kappa searched whose maximum is not negative.
+    Brent search in kappa (scipy.optimize.brentq) on the sign of g'/kappa^2
+    at its first interior local maximum (none counts as negative); a damped
+    Newton iteration then polishes (t, kappa) until both components of
+    (g', g'')/kappa^2 are below 1e-10, from the last kappa searched whose
+    maximum is not negative.
     """
     _check_tangency_domain(gamma_w)
     k_hi = green_boundary(gamma_w)
@@ -201,6 +201,9 @@ def tangency_point(gamma_w: float) -> tuple[float, float]:
             seed[:] = lobe[0], k
         # no lobe: negative, and near the -2/Gamma_w of small-kappa heights
         return -1.0 if lobe is None else lobe[1] / k**2
+
+    # imported here: only the seed uses scipy.optimize, and importing it costs more than a seed
+    from scipy.optimize import brentq
 
     try:  # to float resolution in kappa
         brentq(height, k_lo, k_hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)

@@ -80,23 +80,21 @@ def _check_grid(p: ModelParams, grid: GridSpec):
 def _draw(p: ModelParams, grid: GridSpec, base_seed: int, indices) -> tuple:
     """(zeta, w): zeta = -i conj(z) of shape (m,) and w_t of shape (m, n+1).
 
-    Draw order per trajectory is fixed (z, then w_0, then the n OU
-    increments), so a trajectory's noises do not depend on chunking.
+    Each trajectory draws its 4 + 2n standard normals in one call, read as
+    the complex z, w_0 and the n OU increments in that order, so a
+    trajectory's noises do not depend on chunking.
     """
     n = grid.n_steps
-    m = len(indices)
-    z = np.empty(m, dtype=complex)
-    w = np.empty((m, n + 1), dtype=complex)
-    var_st = 0.5 * p.gamma_w * p.Gamma_w
-    sig_step = math.sqrt(var_st * (1.0 - math.exp(-2.0 * p.gamma_w * grid.dt)))
+    raw = np.empty((len(indices), 4 + 2 * n))
     for row, idx in enumerate(indices):
-        rng = np.random.default_rng([base_seed, idx])
-        a = rng.standard_normal(2)
-        z[row] = (a[0] + 1j * a[1]) / math.sqrt(2.0)
-        b = rng.standard_normal(2)
-        w[row, 0] = math.sqrt(var_st) * (b[0] + 1j * b[1]) / math.sqrt(2.0)
-        c = rng.standard_normal((n, 2))
-        w[row, 1:] = sig_step * (c[:, 0] + 1j * c[:, 1]) / math.sqrt(2.0)
+        np.random.default_rng([base_seed, idx]).standard_normal(out=raw[row])
+    var_st = 0.5 * p.gamma_w * p.Gamma_w
+    scale = np.full(n + 2, math.sqrt(var_st * (1.0 - math.exp(-2.0 * p.gamma_w * grid.dt))))
+    scale[:2] = 1.0, math.sqrt(var_st)
+    c = raw.view(complex)
+    c *= scale
+    c /= math.sqrt(2.0)
+    z, w = c[:, 0], c[:, 1:]
     decay = np.exp(-(p.gamma_w + 1j * p.Omega_w) * grid.dt)
     for k in range(n):  # exact OU update: w_{k+1} = w_k decay + increment
         w[:, k + 1] += w[:, k] * decay

@@ -20,7 +20,7 @@ from nmgeo.cli import (
     write_sweep_csv,
 )
 from nmgeo.errors import ConfigParseError, UnknownConfigKey
-from nmgeo.phasediagram import PhaseCell, classify_point
+from nmgeo.phasediagram import GREEN_BLUE_JOIN, PhaseCell, classify_point
 
 
 def _read_csv(path):
@@ -458,6 +458,26 @@ def test_gfun_double_root_is_a_root_sum(tmp_path):
     manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
     assert manifest["method"] == "root-sum"
     assert [row[1] for row in _read_csv(out)[1:]] == ["1"] * 51
+
+
+@pytest.mark.parametrize(
+    "args, confluent",
+    [
+        (["gfun", "--gamma-w", "0.9", "--kappa", "0.43"], False),
+        (["dynamics", "--gamma-w", "0.9", "--kappa", "0.43"], False),
+        # the double root of test_gfun_double_root_is_a_root_sum
+        (["gfun", "--gamma-w", "2.0", "--kappa", "0.0"], False),
+        # the triple root at the green/blue join
+        (["gfun", "--gamma-w", repr(GREEN_BLUE_JOIN),
+          "--kappa", repr(3.0 * math.sqrt(3.0) / 16.0)], True),
+        (["markov-limit", "--kappa", "0.5"], True),
+    ],
+)
+def test_manifest_records_confluent_form(tmp_path, args, confluent):
+    out = tmp_path / "g.csv"
+    assert run([*args, "--t-max", "5", "--dt", "0.1", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert manifest["confluent"] is confluent
 
 
 def test_json_format_output(tmp_path):
