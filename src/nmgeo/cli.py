@@ -29,10 +29,7 @@ from .dynamics import (
     qfi_series,
 )
 from .errors import ConfigError, ConfigParseError, NmgeoError, UnknownConfigKey
-from .gfunction import (
-    markov_root_times,
-    solve_g,
-)
+from .gfunction import find_g_roots, solve_g
 from .geomphase import BETA_CLAMP, geometric_phase
 from .model import GridSpec, ModelParams, PureState2, TimeSeries, validate_params
 from .phasediagram import (
@@ -481,13 +478,7 @@ def _run_markov_limit(cfg: RunConfig):
     sol = solve_g(p)
     g, gp, _ = sol.eval(ts)
     series = TimeSeries(grid, {"g": g, "gp": gp, "D": np.abs(g)})
-    extras: dict = {"confluent": sol.confluent, "root_times": []}
-    if cfg.Gamma_w == 1.0 and cfg.kappa > 0.25:
-        delta = cfg.kappa - 0.25
-        # two roots per period of the oscillation, so n covers every root <= t_max
-        period = 2.0 * math.sqrt(2.0) * math.pi / math.sqrt(delta * (2.0 * delta + 1.0))
-        n = min(2 * math.floor(cfg.t_max / period) + 3, 10_001)
-        extras["root_times"] = [t for t in markov_root_times(delta, n) if t <= cfg.t_max]
+    extras = {"confluent": sol.confluent, "root_times": find_g_roots(sol, cfg.t_max)}
     return series, extras
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationFailure, ValidationError
-from .gfunction import GSolution, _critical_points, solve_g, solve_ivp
+from .gfunction import GSolution, _critical_points, _total_rise, solve_g, solve_ivp
 from .model import DensityMatrix2, GridSpec, ModelParams, TimeSeries, validate_params
 
 FROM_G = "from-g"
@@ -183,10 +183,13 @@ def trace_distance(rho1: DensityMatrix2, rho2: DensityMatrix2) -> float:
 class NonMarkovReport:
     """Accumulated trace-distance backflow N_t and the windows producing it.
 
-    series channels: g, abs_g and the non-decreasing N_t.  windows are the
-    intervals between consecutive critical points of |g| (0, the zeros of g
-    and g', t_max) over which |g| rises, so d|g|/dt > 0 inside (equivalently
-    Re F_z < 0 away from zeros of g); n_total is N_t at the end of the grid.
+    series channels: g, abs_g and the non-decreasing N_t, the grid sum of the
+    rises of |g| between samples.  windows are the intervals between
+    consecutive critical points of |g| (0, the zeros of g and g', t_max) over
+    which |g| rises, so d|g|/dt > 0 inside (equivalently Re F_z < 0 away from
+    zeros of g).  n_total is the sum of the rises of |g| between those
+    critical points: exact, independent of dt and equal to classify_point's
+    N_total, while N_t[-1] undershoots the peaks of |g| the grid misses.
     """
 
     series: TimeSeries
@@ -198,7 +201,8 @@ def non_markovianity(p: ModelParams, t_max: float, dt: float = 0.01) -> NonMarko
     """BLP measure for the optimal pair, where the trace distance is |g(t)|.
 
     N_t accumulates the positive increments of |g| on the grid, so zeros of
-    g are integrable kinks rather than failures.
+    g are integrable kinks rather than failures.  n_total and the windows
+    come from the critical points of |g| and do not depend on dt.
     """
     validate_params(p)
     sol = solve_g(p)
@@ -212,7 +216,7 @@ def non_markovianity(p: ModelParams, t_max: float, dt: float = 0.01) -> NonMarko
     inc = np.maximum(np.diff(absg), 0.0)
     n_t = np.concatenate([[0.0], np.cumsum(inc)])
     series = TimeSeries(grid, {"g": g, "abs_g": absg, "N_t": n_t})
-    return NonMarkovReport(series=series, windows=windows, n_total=float(n_t[-1]))
+    return NonMarkovReport(series=series, windows=windows, n_total=_total_rise(crit_abs_g))
 
 
 def _initial_family(theta: float, convention: str):
@@ -234,18 +238,6 @@ def _initial_family(theta: float, convention: str):
     raise ValidationError(f"unknown initial-state convention {convention!r}")
 
 
-def _qfi_from_matrices(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
-    """Quantum Fisher information of stacked (n,2,2) rho with derivative drho.
-
-    F = sum over eigenpairs with p_i + p_j > 1e-12 of 2 |<i|drho|j>|^2 / (p_i + p_j).
-    """
-    p, u = np.linalg.eigh(rho)
-    m = np.einsum("nij,njk,nkl->nil", np.conj(np.swapaxes(u, 1, 2)), drho, u)
-    psum = p[:, :, None] + p[:, None, :]
-    w = np.where(psum > 1e-12, 2.0 / np.where(psum > 1e-12, psum, 1.0), 0.0)
-    return np.einsum("nij,nij->n", w, np.abs(m) ** 2).real
-
-
 def qfi_series(
     p: ModelParams,
     theta: float,
@@ -257,35 +249,37 @@ def qfi_series(
 ) -> np.ndarray:
     """QFI of the evolved family rho(t; theta) at each grid time.
 
-    The theta-derivative is taken analytically from the closed-form state by
-    default; derivative="fd" uses central differences with step 1e-5.
+    In the frame rotating with e^{-i omega t}, a unitary that does not depend
+    on theta, the Bloch vector and its theta-derivative are
+
+        r = (2 rho_eg(0) g, 2 rho_ee(0) g^2 - 1),  dr = (2 drho_eg(0) g, 2 drho_ee(0) g^2),
+
+    and F = |dr|^2 + (r.dr)^2 / (1 - |r|^2), with 1 - |r|^2 = 4 det rho
+    = 4 g^2 (rho_ee(0) (1 - rho_ee(0) g^2) - rho_eg(0)^2).  So omega does not
+    enter.  The mixed term is kept where 2 det rho > 1e-12; elsewhere the
+    state is pure (g = +-1, a zero of g, or a pole angle) and F = |dr|^2.
+    The theta-derivatives of rho_ee(0) and rho_eg(0) are analytic by default;
+    derivative="fd" takes central differences with step 1e-5 (rho is linear
+    in both, so this differences rho itself).
     """
     validate_params(p)
-    sol = gsol if gsol is not None else solve_g(p)
-    ts = grid.times()
-    g = sol.g(ts)
-    phase = np.exp(-1j * p.omega * ts)
-
-    def family(th):
-        ree0, reg0, _, _ = _initial_family(th, convention)
-        rho = np.empty((ts.size, 2, 2), dtype=complex)
-        rho[:, 0, 0] = ree0 * g**2
-        rho[:, 0, 1] = reg0 * phase * g
-        rho[:, 1, 0] = np.conj(rho[:, 0, 1])
-        rho[:, 1, 1] = 1.0 - rho[:, 0, 0]
-        return rho
-
-    rho = family(theta)
-    if derivative == "analytic":
-        _, _, dee0, deg0 = _initial_family(theta, convention)
-        drho = np.empty_like(rho)
-        drho[:, 0, 0] = dee0 * g**2
-        drho[:, 0, 1] = deg0 * phase * g
-        drho[:, 1, 0] = np.conj(drho[:, 0, 1])
-        drho[:, 1, 1] = -drho[:, 0, 0]
-    elif derivative == "fd":
+    ree0, reg0, dee0, deg0 = _initial_family(theta, convention)
+    if derivative == "fd":
         h = 1e-5
-        drho = (family(theta + h) - family(theta - h)) / (2.0 * h)
-    else:
+        plus = _initial_family(theta + h, convention)
+        minus = _initial_family(theta - h, convention)
+        dee0 = (plus[0] - minus[0]) / (2.0 * h)
+        deg0 = (plus[1] - minus[1]) / (2.0 * h)
+    elif derivative != "analytic":
         raise ValidationError(f"unknown derivative mode {derivative!r}")
-    return _qfi_from_matrices(rho, drho)
+    sol = gsol if gsol is not None else solve_g(p)
+    g = sol.g(grid.times())
+    g2 = g * g
+    rx, rz = 2.0 * reg0 * g, 2.0 * ree0 * g2 - 1.0
+    drx, drz = 2.0 * deg0 * g, 2.0 * dee0 * g2
+    det = g2 * (ree0 * (1.0 - ree0 * g2) - reg0**2)
+    f = drx**2 + drz**2
+    dot = rx * drx + rz * drz
+    mixed = 2.0 * det > 1e-12
+    f[mixed] += dot[mixed] ** 2 / (4.0 * det[mixed])
+    return f

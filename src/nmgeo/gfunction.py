@@ -38,7 +38,8 @@ _ROOT_SUM_MAX_WEIGHT = 64.0
 # terms of the confluent form's series; the first left out is < 1e-18 of its first
 _TAYLOR_TERMS = 20
 # scan points evaluated at once: their temporaries stay in the CPU cache and
-# below the allocator's mmap threshold, so no scan faults in fresh pages
+# below the allocator's mmap threshold (glibc may still trim the heap top
+# after each chunk, so later chunks can fault in fresh pages)
 _SCAN_CHUNK = 2**12
 
 
@@ -455,6 +456,12 @@ def find_g_roots(sol: GSolution, t_max: float) -> list[float]:
     a valid result.  See _critical_points for the scan.
     """
     return _critical_points([sol], t_max)[0][0].tolist()
+
+
+def _total_rise(abs_g: np.ndarray) -> float:
+    """Sum of the rises of |g| between consecutive critical points: the exact N_total."""
+    # added in time order: np.sum pairs terms and would round differently
+    return float(np.cumsum(np.maximum(np.diff(abs_g), 0.0))[-1])
 
 
 def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:

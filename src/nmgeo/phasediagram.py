@@ -24,6 +24,7 @@ from .gfunction import (
     _scan_intervals,
     _sign_changes,
     _third_derivative,
+    _total_rise,
     solve_g,
 )
 from .model import ModelParams
@@ -366,7 +367,5 @@ def _classify(sols: list[GSolution], t_max: float) -> list[tuple[float | None, f
     """
     out = []
     for zeros, _, abs_g in _critical_points(sols, t_max):
-        # added in time order: np.sum pairs terms and would round differently
-        n_total = float(np.cumsum(np.maximum(np.diff(abs_g), 0.0))[-1])
-        out.append((float(zeros[0]) if zeros.size else None, n_total))
+        out.append((float(zeros[0]) if zeros.size else None, _total_rise(abs_g)))
     return out

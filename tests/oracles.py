@@ -4,8 +4,10 @@ f_w_from_f_z differentiates a sampled F_z numerically, and evolve_lindblad
 integrates the Lindblad equation driven by F_z; both check the closed-form
 library routes against a second, independent computation.  _bisect_brackets
 halves brackets to 1e-12, the reference for the library's Newton refiner,
-and tangency_point_bisected seeds the tangency by halving kappa, the
-reference for the library's Brent search.
+tangency_point_bisected seeds the tangency by halving kappa, the
+reference for the library's Brent search, and qfi_series_eigh takes the QFI
+from the eigendecomposition of the 2x2 density matrices, the reference for
+the library's Bloch-vector closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from nmgeo import (
+    QFI_CONVENTION,
     DensityMatrix2,
+    GSolution,
     GridSpec,
     IntegrationFailure,
     ModelParams,
@@ -23,6 +27,7 @@ from nmgeo import (
     ValidationError,
     green_boundary,
 )
+from nmgeo.dynamics import _initial_family
 from nmgeo.phasediagram import (
     _NEWTON_ITER,
     _NEWTON_TOL,
@@ -161,3 +166,45 @@ def tangency_point_bisected(gamma_w: float) -> tuple[float, float]:
         else:
             k_hi, h_hi = k_mid, h
     return _tangency_newton(gamma_w, h_hi[0], k_hi, _NEWTON_TOL, _NEWTON_ITER)
+
+
+def _qfi_from_matrices(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
+    """Quantum Fisher information of stacked (n,2,2) rho with derivative drho.
+
+    F = sum over eigenpairs with p_i + p_j > 1e-12 of 2 |<i|drho|j>|^2 / (p_i + p_j).
+    """
+    p, u = np.linalg.eigh(rho)
+    m = np.einsum("nij,njk,nkl->nil", np.conj(np.swapaxes(u, 1, 2)), drho, u)
+    psum = p[:, :, None] + p[:, None, :]
+    w = np.where(psum > 1e-12, 2.0 / np.where(psum > 1e-12, psum, 1.0), 0.0)
+    return np.einsum("nij,nij->n", w, np.abs(m) ** 2).real
+
+
+def qfi_series_eigh(
+    p: ModelParams,
+    theta: float,
+    grid: GridSpec,
+    convention: str = QFI_CONVENTION,
+    *,
+    gsol: GSolution,
+) -> np.ndarray:
+    """QFI of the evolved family rho(t; theta) from the eigenpairs of each sample.
+
+    rho and its analytic theta-derivative are built as (n,2,2) complex
+    stacks in the lab frame, phase e^{-i omega t} included.
+    """
+    ts = grid.times()
+    g = gsol.g(ts)
+    phase = np.exp(-1j * p.omega * ts)
+    ree0, reg0, dee0, deg0 = _initial_family(theta, convention)
+    rho = np.empty((ts.size, 2, 2), dtype=complex)
+    rho[:, 0, 0] = ree0 * g**2
+    rho[:, 0, 1] = reg0 * phase * g
+    rho[:, 1, 0] = np.conj(rho[:, 0, 1])
+    rho[:, 1, 1] = 1.0 - rho[:, 0, 0]
+    drho = np.empty_like(rho)
+    drho[:, 0, 0] = dee0 * g**2
+    drho[:, 0, 1] = deg0 * phase * g
+    drho[:, 1, 0] = np.conj(drho[:, 0, 1])
+    drho[:, 1, 1] = -drho[:, 0, 0]
+    return _qfi_from_matrices(rho, drho)

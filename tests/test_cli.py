@@ -447,6 +447,21 @@ def test_markov_limit_manifest_roots(tmp_path):
     assert roots[0] == pytest.approx(4.8368, abs=1e-3)
 
 
+def test_markov_limit_roots_for_any_bath_rate(tmp_path):
+    # Gamma_w != 1 has no closed-form root list; the scan still finds every zero
+    out = tmp_path / "m.csv"
+    code = run([
+        "markov-limit", "--kappa", "0.5", "--Gamma-w", "1.5", "--t-max", "30",
+        "--dt", "0.01", "--out", str(out),
+    ])
+    assert code == 0
+    roots = json.loads((tmp_path / "m.csv.manifest.json").read_text())["root_times"]
+    assert roots == pytest.approx([7.31394, 16.813224, 26.312507], abs=1e-5)
+    sol = nmgeo.solve_g(nmgeo.ModelParams(kappa=0.5, gamma_w=math.inf, Gamma_w=1.5))
+    for t in roots:
+        assert sol.g(t - 1e-6) * sol.g(t + 1e-6) < 0.0, t
+
+
 def test_gfun_double_root_is_a_root_sum(tmp_path):
     # kappa = 0, gamma_w = 2: a double root, evaluated by the one modal kernel
     out = tmp_path / "g.csv"

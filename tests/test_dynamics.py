@@ -5,10 +5,13 @@ import pytest
 
 from nmgeo import (
     BLOCH_CONVENTION,
+    GREEN_BLUE_JOIN,
+    QFI_CONVENTION,
     DensityMatrix2,
     GridSpec,
     ModelParams,
     PureState2,
+    classify_point,
     density_series_diagnostics,
     evolve_master_equation,
     expectations_sigma,
@@ -25,7 +28,7 @@ from nmgeo import (
 )
 
 from conftest import EXCEPTION_POINT, MARKOV_POINT
-from oracles import evolve_lindblad, f_w_from_f_z
+from oracles import evolve_lindblad, f_w_from_f_z, qfi_series_eigh
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +353,14 @@ def test_nonmarkovianity_windows_at_reference_point(ref_params):
     assert np.max(np.diff(n_t)[outside]) <= 1e-9
 
 
+def test_nonmarkov_n_total_is_exact_and_independent_of_dt(ref_params):
+    # the grid value N_t[-1] is 0.111810 at dt = 0.01 and 0.112239 at dt = 0.001
+    exact = classify_point(0.9, 0.43, t_max=20.0).n_total
+    for dt in (0.01, 0.001):
+        assert non_markovianity(ref_params, 20.0, dt).n_total == exact, dt
+    assert exact == pytest.approx(0.112257, abs=1e-6)
+
+
 def test_nonmarkov_positive_without_divergence():
     p = ModelParams(**EXCEPTION_POINT)
     rep = non_markovianity(p, 200.0, 0.01)
@@ -400,6 +411,38 @@ def test_qfi_analytic_vs_finite_difference(ref_params, ref_gsol):
     fd = qfi_series(ref_params, 0.7, grid, gsol=ref_gsol, derivative="fd")
     mask = fa > 1e-3
     assert np.max(np.abs(fa[mask] - fd[mask]) / fa[mask]) < 1e-4
+
+
+# (gamma_w, kappa): the reference point, the non-divergent backflow point, a
+# Markovian point, free evolution, a blue-side point and the green/blue join
+QFI_ORACLE_POINTS = [
+    (0.9, 0.43), (0.3, 0.23), (0.9, 0.10), (0.9, 0.0), (2.5, 0.5),
+    (GREEN_BLUE_JOIN, 3.0 * math.sqrt(3.0) / 16.0),
+]
+# the pole angles of both conventions (0, pi/2, pi) and 1e-7 from either side
+QFI_ORACLE_THETAS = [
+    0.0, 1e-7, 0.3, math.pi / 4, math.pi / 2 - 1e-7, math.pi / 2, 2.0, math.pi - 1e-7, math.pi,
+]
+
+
+@pytest.mark.parametrize("gamma_w,kappa", QFI_ORACLE_POINTS)
+def test_qfi_closed_form_matches_eigh_oracle(gamma_w, kappa):
+    # the grid crosses zeros of g, where the state is pure
+    p = ModelParams(kappa=kappa, gamma_w=gamma_w)
+    sol = solve_g(p)
+    grid = GridSpec.uniform(20.0, 0.001)
+    for convention in (QFI_CONVENTION, BLOCH_CONVENTION):
+        for theta in QFI_ORACLE_THETAS:
+            f = qfi_series(p, theta, grid, convention, gsol=sol)
+            ref = qfi_series_eigh(p, theta, grid, convention, gsol=sol)
+            assert np.max(np.abs(f - ref)) <= 1e-13, (convention, theta)
+
+
+def test_qfi_free_evolution_is_four_to_rounding():
+    p = ModelParams(kappa=0.0, gamma_w=0.9)
+    grid = GridSpec.uniform(20.0, 0.001)
+    for theta in QFI_ORACLE_THETAS:
+        assert np.max(np.abs(qfi_series(p, theta, grid) - 4.0)) <= 1e-14, theta
 
 
 def test_qfi_growth_locks_to_backflow_windows(ref_params, ref_gsol):
