@@ -164,22 +164,18 @@ def write_sweep_json(cells: list[PhaseCell], path: str) -> None:
 # configuration
 # ---------------------------------------------------------------------------
 
-_COMMON_KEYS = {"gamma_w", "kappa", "omega", "Gamma_w", "t_max", "dt", "out", "format"}
-_KNOWN_KEYS = {
-    "gfun": set(_COMMON_KEYS),
-    "phase": _COMMON_KEYS | {"theta"},
-    "dynamics": _COMMON_KEYS | {"theta"},
-    "nonmarkov": set(_COMMON_KEYS),
-    "qfi": _COMMON_KEYS | {"theta", "convention"},
-    "sweep": _COMMON_KEYS | {"gamma_w_range", "kappa_range"},
-    "boundaries": _COMMON_KEYS | {"gamma_w_range"},
-    "markov-limit": set(_COMMON_KEYS),
-    "qsd": _COMMON_KEYS | {"theta", "n_traj", "seed", "workers"},
-}
+# the JSON values a flag's argparse type accepts, and their name (None: a string flag)
+_JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", (int,)),
+               None: ("a string", (str,))}
 
 
 def load_config(path: str, subcommand: str | None = None) -> dict:
-    """Flat key/value JSON mirroring the CLI flags (underscored names)."""
+    """Flat key/value JSON mirroring the CLI flags (underscored names).
+
+    Keys are the flags of the subcommand (of any subcommand when it is None
+    or unknown); each value must have the JSON type of its flag's argparse
+    type and lie in its choices.
+    """
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -190,12 +186,23 @@ def load_config(path: str, subcommand: str | None = None) -> dict:
         ) from exc
     if not isinstance(cfg, dict):
         raise ConfigParseError(f"{path}: top-level JSON value must be an object")
-    known = _KNOWN_KEYS.get(subcommand) if subcommand else None
-    if known is None:
-        known = set().union(*_KNOWN_KEYS.values())
-    for key in cfg:
-        if key not in known:
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {
+        action.dest: action
+        for name in ([subcommand] if subcommand in subparsers.choices else subparsers.choices)
+        for action in subparsers.choices[name]._actions
+        if action.dest not in ("help", "config")
+    }
+    for key, value in cfg.items():
+        if key not in actions:
             raise UnknownConfigKey(f"{path}: unknown configuration key {key!r}")
+        kind, types = _JSON_TYPES[actions[key].type]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{path}: {key} must be {kind}, got {value!r}")
+        choices = actions[key].choices
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{path}: {key} must be one of {', '.join(choices)}, got {value!r}")
     return cfg
 
 
@@ -308,25 +315,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand, out="")
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = load_config(args.config, args.subcommand)
-    for key, value in file_values.items():
+    skip = ("config", "subcommand")
+    flags = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+    file_values = load_config(args.config, args.subcommand) if args.config else {}
+    for key, value in {**file_values, **flags}.items():
         setattr(cfg, key, value)
-    for key in vars(args):
-        if key in ("config", "subcommand"):
-            continue
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, value)
     if not cfg.out:
         raise ConfigError("--out is required (flag or config file)")
     if cfg.dt <= 0.0 or cfg.t_max <= 0.0:
         raise ConfigError(f"need t_max > 0 and dt > 0, got t_max={cfg.t_max}, dt={cfg.dt}")
     if not (0.0 <= cfg.theta <= math.pi):
         raise ConfigError(f"--theta must lie in [0, pi], got {cfg.theta}")
-    if cfg.convention not in ("qfi", "bloch"):
-        raise ConfigError(f"--convention must be 'qfi' or 'bloch', got {cfg.convention!r}")
     if cfg.subcommand == "sweep":
         if not cfg.gamma_w_range or not cfg.kappa_range:
             raise ConfigError("sweep requires --gamma-w-range and --kappa-range")
@@ -444,14 +443,15 @@ def _run_boundaries(cfg: RunConfig):
             row["blue"] = blue_boundary(gw)
         if 0.0 < gw < GREEN_BLUE_JOIN:
             point = tangency[gw]
-            if point.error is None:
-                row["tangency"] = point.kappa
-            else:
+            if point.error is not None:
                 row["tangency_error"] = point.error
+            elif point.t_star is not None:  # else no Markov region: left empty, never 0
+                row["tangency"] = point.kappa
         rows.append(row)
     extras = {
         "join_point": {"gamma_w": GREEN_BLUE_JOIN, "kappa": 3.0 * math.sqrt(3.0) / 16.0},
         "tangency_errors": {r["gamma_w"]: r["tangency_error"] for r in rows if "tangency_error" in r},
+        "no_markov_region": [p.gamma_w for p in curve if p.error is None and p.t_star is None],
     }
     return rows, extras
 

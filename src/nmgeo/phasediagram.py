@@ -5,14 +5,14 @@ green curve kappa = sqrt(gamma_w (9 - 4 gamma_w)) / 6 for gamma_w up to
 27/16 and, beyond that, the blue curve obtained from the vanishing of the
 characteristic-cubic discriminant; the two join at (27/16, 3 sqrt(3)/16).
 The Markov / non-Markovian crossover for gamma_w < 27/16 is the locus
-where g' becomes tangent to zero: g'(t*) = g''(t*) = 0.
+where g' becomes tangent to zero: g'(t*) = g''(t*) = 0, one equation in
+kappa on the cubic's roots (see _tangency_residual).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,11 +20,9 @@ from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
     GSolution,
     _critical_points,
-    _ode_row,
     _scan_intervals,
-    _sign_changes,
-    _third_derivative,
     _total_rise,
+    cubic_roots,
     solve_g,
 )
 from .model import ModelParams
@@ -37,10 +35,6 @@ REGION_NONDIVERGENT = "NM_NODIV"
 REGION_ERROR = "ERR"
 
 N_THRESHOLD = 1e-6
-
-# tangency: first-lobe scan window and samples, Newton tolerance and steps
-_T_SCAN, _N_SCAN = 60.0, 2500
-_NEWTON_TOL, _NEWTON_ITER = 1e-10, 60
 
 # scan points one block of sweep cells holds; bounds the sweep's memory
 _BLOCK_POINTS = 2**15
@@ -83,83 +77,6 @@ def blue_boundary(gamma_w: float) -> float:
     return math.sqrt(k2)
 
 
-@lru_cache(maxsize=4)
-def _tangency_solution(gamma_w: float, kappa: float) -> GSolution:
-    """solve_g at (gamma_w, kappa), remembered for the next few calls.
-
-    A continued Newton ends on the kappa its first-lobe guard solves again,
-    and a Brent-seeded Newton starts on a kappa the search just solved.
-    """
-    return solve_g(ModelParams(kappa=kappa, gamma_w=gamma_w))
-
-
-def _first_gp_maximum(gamma_w: float, kappa: float):
-    """(t, g'(t)) at the first interior local maximum of g' on (0, _T_SCAN], or None.
-
-    Bracketed by the second sign change of g'' on _N_SCAN samples (the first
-    is the minimum of g', since g''(0) = -kappa^2 < 0), then refined as a
-    zero of g'' by the kernel's one zero refiner, _ModalCells.refine.
-    """
-    sol = _tangency_solution(gamma_w, kappa)
-    ts = np.linspace(1e-6, _T_SCAN, _N_SCAN)
-    flips, _ = _sign_changes(sol.eval(ts)[2], np.zeros(ts.size, dtype=np.intp))
-    if flips.size < 2:
-        return None
-    i = flips[1:2]
-    t = sol._modal.refine(ts[i], ts[i + 1], 0, 2)
-    return float(t[0]), float(sol.eval(t)[1][0])
-
-
-def _tangency_newton(gamma_w: float, t: float, k: float, tol: float, max_iter: int):
-    """Damped Newton from (t, kappa) onto g'(t) = 0 = g''(t); returns floats.
-
-    The residual is (g', g'')/kappa^2: both are O(kappa^2), so unscaled the
-    iteration can slide to kappa ~ 0, where any tolerance holds without a
-    tangency.  The t column of the Jacobian is (g'', g''')/kappa^2 in closed
-    form, g''' from the ODE; only the kappa column is differenced.
-    """
-
-    def state(t_, k_):
-        g, gp, gpp = _tangency_solution(gamma_w, k_).eval(t_)
-        return g[0] / k_**2, np.array([gp[0], gpp[0]]) / k_**2
-
-    g, fval = state(t, k)
-    for _ in range(max_iter):
-        if np.max(np.abs(fval)) < tol:
-            return float(t), float(k)
-        # g, g' and g'' divided by kappa^2, and so g''' too
-        gppp = _third_derivative(g, *fval, _ode_row(_tangency_solution(gamma_w, k).params))
-        hk = 1e-7 * max(1.0, k)
-        jac = np.empty((2, 2))
-        jac[:, 0] = (fval[1], gppp)
-        jac[:, 1] = (state(t, k + hk)[1] - state(t, k - hk)[1]) / (2.0 * hk)
-        try:
-            step = np.linalg.solve(jac, -fval)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(
-                "singular Jacobian in tangency Newton",
-                {"gamma_w": gamma_w, "t": t, "kappa": k, "residual": fval.tolist()},
-            ) from exc
-        lam, n0 = 1.0, float(fval @ fval)
-        while lam > 1e-8:
-            t_c, k_c = t + lam * step[0], k + lam * step[1]
-            if k_c > 0.0:
-                g_c, f_c = state(t_c, k_c)
-                if float(f_c @ f_c) < n0:
-                    break
-            lam *= 0.5
-        else:
-            raise NoConvergence(
-                "tangency Newton found no descent step",
-                {"gamma_w": gamma_w, "t": t, "kappa": k, "residual": fval.tolist()},
-            )
-        t, k, g, fval = t_c, k_c, g_c, f_c
-    raise NoConvergence(
-        "tangency Newton did not reach tolerance",
-        {"gamma_w": gamma_w, "t": t, "kappa": k, "residual": fval.tolist()},
-    )
-
-
 def _check_tangency_domain(gamma_w: float):
     if not (0.0 < gamma_w < GREEN_BLUE_JOIN):
         raise OutOfDomain(
@@ -167,51 +84,60 @@ def _check_tangency_domain(gamma_w: float):
         )
 
 
-def tangency_point(gamma_w: float) -> tuple[float, float]:
-    """(t*, kappa*) solving g'(t*) = 0 = g''(t*) at the smallest kappa > 0.
+def _tangency_residual(gamma_w: float, kappa: float) -> tuple[float, float]:
+    """(F, t*) at kappa: F = 0 on the tangency, t* the time of the first lobe of g'.
 
-    The double root makes a raw 2-d scan on |g'| + |g''| useless (both decay
-    exponentially, so spurious distant lobes win), so the seed comes from a
-    Brent search in kappa (scipy.optimize.brentq) on the sign of g'/kappa^2
-    at its first interior local maximum (none counts as negative); a damped
-    Newton iteration then polishes (t, kappa) until both components of
-    (g', g'')/kappa^2 are below 1e-10, from the last kappa searched whose
-    maximum is not negative.
+    At g' = g'' = 0 the mode amplitudes w_i e^{x_i t/2} are orthogonal to
+    (x_i) and (x_i^2), so (x_i + 2 gamma_w) e^{x_i t/2} is the same for every
+    root x_i of the cubic (w_i = N(x_i)/p'(x_i) as in solve_g, and x N(x) =
+    -4 kappa^2 (x + 2 gamma_w) at a root).  For the real root x0 and the root
+    x1 with Im > 0, exp((x1 - x0) t/2) = Q = (x0 + 2 gamma_w)/(x1 + 2 gamma_w):
+    its imaginary part gives t* = (Arg Q + 2 pi)/Im(x1/2), its real part
+    F = (Re x1 - x0) t*/2 - ln|Q|.
+    """
+    x = cubic_roots(ModelParams(kappa=kappa, gamma_w=gamma_w))
+    x0, x1 = x[np.argmin(np.abs(x.imag))].real, x[np.argmax(x.imag)]
+    q = (x0 + 2.0 * gamma_w) / (x1 + 2.0 * gamma_w)
+    t = (np.angle(q) + 2.0 * math.pi) / (0.5 * x1.imag)
+    return float(0.5 * (x1.real - x0) * t - np.log(np.abs(q))), float(t)
+
+
+def tangency_point(gamma_w: float) -> tuple[float | None, float]:
+    """(t*, kappa*) solving g'(t*) = 0 = g''(t*) at the smallest kappa > 0, or
+    (None, 0.0) where there is no Markov region (gamma_w <= gamma_w0 ~ 0.0735386).
+
+    A bracketed secant (Illinois regula falsi, the midpoint where a step
+    leaves the bracket) on the rising F of _tangency_residual over
+    [green/1e4, green], to float resolution in kappa (F = 0 is a zero step),
+    one cubic_roots call per step.  F >= 0 at green/1e4 means no Markov
+    region; a NaN F, or one not positive at green, raises NoConvergence.
     """
     _check_tangency_domain(gamma_w)
-    k_hi = green_boundary(gamma_w)
-    k_lo = k_hi / 1e4
-    h_lo = _first_gp_maximum(gamma_w, k_lo)
-    h_hi = _first_gp_maximum(gamma_w, k_hi)
-    if h_hi is None or h_hi[1] <= 0.0:
-        raise NoConvergence(
-            "no positive first lobe of g' at the green boundary",
-            {"gamma_w": gamma_w, "kappa_hi": k_hi, "h_hi": h_hi},
-        )
-    if h_lo is not None and h_lo[1] > 0.0:
-        raise NoConvergence(
-            "first lobe already positive at the lower kappa bracket",
-            {"gamma_w": gamma_w, "kappa_lo": k_lo, "h_lo": h_lo},
-        )
-    known = {k_lo: h_lo, k_hi: h_hi}  # brentq evaluates both ends first
-    seed = [h_hi[0], k_hi]
-
-    def height(k):
-        lobe = known.pop(k) if k in known else _first_gp_maximum(gamma_w, k)
-        if lobe is not None and lobe[1] >= 0.0:
-            seed[:] = lobe[0], k
-        # no lobe: negative, and near the -2/Gamma_w of small-kappa heights
-        return -1.0 if lobe is None else lobe[1] / k**2
-
-    # imported here: only the seed uses scipy.optimize, and importing it costs more than a seed
-    from scipy.optimize import brentq
-
-    try:  # to float resolution in kappa
-        brentq(height, k_lo, k_hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-    except (ValueError, RuntimeError) as exc:  # a NaN height, or maxiter reached
-        details = {"gamma_w": gamma_w, "kappa_lo": k_lo, "kappa_hi": k_hi}
-        raise NoConvergence(f"kappa search on the first lobe of g' failed: {exc}", details) from exc
-    return _tangency_newton(gamma_w, *seed, _NEWTON_TOL, _NEWTON_ITER)
+    hi = green_boundary(gamma_w)
+    lo = hi / 1e4
+    (f_lo, _), (f_hi, t) = _tangency_residual(gamma_w, lo), _tangency_residual(gamma_w, hi)
+    details = {"gamma_w": gamma_w, "kappa_lo": lo, "kappa_hi": hi}
+    if math.isnan(f_lo) or not f_hi > 0.0:
+        raise NoConvergence(f"tangency residual {f_lo} at green/1e4, {f_hi} at green", details)
+    if f_lo >= 0.0:
+        return None, 0.0
+    k, moved, eps = hi, 0, 4.0 * np.finfo(float).eps
+    for _ in range(100):
+        new = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if abs(new - k) <= eps * k:
+            return t, k
+        k = new if lo < new < hi else 0.5 * (lo + hi)
+        f, t = _tangency_residual(gamma_w, k)
+        if math.isnan(f):
+            raise NoConvergence("tangency residual is NaN", {**details, "kappa": k})
+        # Illinois: an end that stays twice has its value halved
+        if f < 0.0:
+            lo, f_lo, f_hi, moved = k, f, f_hi * (0.5 if moved < 0 else 1.0), -1
+        else:
+            hi, f_hi, f_lo, moved = k, f, f_lo * (0.5 if moved > 0 else 1.0), 1
+        if hi - lo <= eps * hi:
+            return t, k
+    raise NoConvergence("tangency secant did not reach float resolution", details)
 
 
 def tangency_boundary(gamma_w: float) -> float:
@@ -221,7 +147,8 @@ def tangency_boundary(gamma_w: float) -> float:
 
 @dataclass(frozen=True)
 class TangencyPoint:
-    """One point of the tangency curve; t_star and kappa are None when error is set."""
+    """One point of the tangency curve: t_star and kappa are None when error is
+    set, and t_star is None and kappa 0.0 where gamma_w has no Markov region."""
 
     gamma_w: float
     t_star: float | None
@@ -230,48 +157,18 @@ class TangencyPoint:
 
 
 def tangency_curve(gamma_values) -> list[TangencyPoint]:
-    """Tangency points at each gamma_w, continued from one point to the next.
-
-    The first gamma_w with a Markov region is seeded by tangency_point's
-    Brent search in kappa.  Each later point starts from a secant predictor
-    through the two previous (t*, kappa*) (the previous one alone for the
-    second) and is polished by the same Newton.  One first-lobe scan at the
-    new kappa guards it: when the first maximum of g' is not at the Newton
-    t (the continuation followed a later lobe), the point is recomputed by
-    tangency_point.  A point that fails is recorded with its error, never
-    raised, and the next point is seeded afresh.
-    """
+    """tangency_point at each gamma_w, all checked against the domain first;
+    a point that fails records its error, never raises."""
     gammas = [float(gw) for gw in gamma_values]
     for gw in gammas:
         _check_tangency_domain(gw)
-    points: list[TangencyPoint] = []
-    done: list[TangencyPoint] = []  # the continuation's last two points
+    points = []
     for gw in gammas:
         try:
-            t, k = _continued(gw, done) if done else tangency_point(gw)
+            points.append(TangencyPoint(gw, *tangency_point(gw)))
         except NmgeoError as exc:
             points.append(TangencyPoint(gw, None, None, str(exc)))
-            done = []
-            continue
-        points.append(TangencyPoint(gw, t, k))
-        done = [*done[-1:], points[-1]]
     return points
-
-
-def _continued(gamma_w: float, done: list[TangencyPoint]) -> tuple[float, float]:
-    """Tangency at gamma_w continued from the previous points, else by tangency_point."""
-    a, b = done[0], done[-1]
-    s = (gamma_w - b.gamma_w) / (b.gamma_w - a.gamma_w) if a.gamma_w != b.gamma_w else 0.0
-    t0, k0 = b.t_star + s * (b.t_star - a.t_star), b.kappa + s * (b.kappa - a.kappa)
-    try:
-        t, k = _tangency_newton(gamma_w, t0, k0, _NEWTON_TOL, _NEWTON_ITER)
-    except NmgeoError:
-        return tangency_point(gamma_w)
-    lobe = _first_gp_maximum(gamma_w, k)
-    # a later lobe, or one so flat that the Newton t is not pinned down
-    if lobe is None or abs(lobe[0] - t) > 1e-6 * max(1.0, t):
-        return tangency_point(gamma_w)
-    return t, k
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ f_w_from_f_z differentiates a sampled F_z numerically, and evolve_lindblad
 integrates the Lindblad equation driven by F_z; both check the closed-form
 library routes against a second, independent computation.  _bisect_brackets
 halves brackets to 1e-12, the reference for the library's Newton refiner,
-tangency_point_bisected seeds the tangency by halving kappa, the
-reference for the library's Brent search, and qfi_series_eigh takes the QFI
+_first_gp_maximum scans for the first lobe of g', and
+tangency_point_bisected halves kappa on its sign, the reference for the
+library's closed-form tangency; qfi_series_eigh takes the QFI
 from the eigendecomposition of the 2x2 density matrices, the reference for
 the library's Bloch-vector closed form.
 """
@@ -26,15 +27,14 @@ from nmgeo import (
     TimeSeries,
     ValidationError,
     green_boundary,
+    solve_g,
 )
 from nmgeo.dynamics import _initial_family
-from nmgeo.phasediagram import (
-    _NEWTON_ITER,
-    _NEWTON_TOL,
-    _check_tangency_domain,
-    _first_gp_maximum,
-    _tangency_newton,
-)
+from nmgeo.gfunction import _sign_changes
+from nmgeo.phasediagram import _check_tangency_domain
+
+# first-lobe scan window and samples of _first_gp_maximum
+_T_SCAN, _N_SCAN = 60.0, 2500
 
 
 def _derivative_4th(y: np.ndarray, dt: float) -> np.ndarray:
@@ -132,29 +132,43 @@ def _bisect_brackets(f, lo, hi) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def tangency_point_bisected(gamma_w: float) -> tuple[float, float]:
-    """tangency_point seeded by halving kappa on the sign of the first lobe of g'.
+def _first_gp_maximum(gamma_w: float, kappa: float):
+    """(t, g'(t)) at the first interior local maximum of g' on (0, _T_SCAN], or None.
 
-    The same bracket [green(gamma_w)/1e4, green(gamma_w)] and bracket checks
-    as the library's Brent search, then up to 60 halvings until the bracket
-    no longer moves in floating point; "no lobe" counts as negative.  The
-    damped Newton starts from the upper end, the last kappa whose lobe is
-    not negative, as the library's does.
+    Bracketed by the second sign change of g'' on _N_SCAN samples (the first
+    is the minimum of g', since g''(0) = -kappa^2 < 0), then refined as a
+    zero of g'' by the kernel's zero refiner, _ModalCells.refine.
+    """
+    sol = solve_g(ModelParams(kappa=kappa, gamma_w=gamma_w))
+    ts = np.linspace(1e-6, _T_SCAN, _N_SCAN)
+    flips, _ = _sign_changes(sol.eval(ts)[2], np.zeros(ts.size, dtype=np.intp))
+    if flips.size < 2:
+        return None
+    i = flips[1:2]
+    t = sol._modal.refine(ts[i], ts[i + 1], 0, 2)
+    return float(t[0]), float(sol.eval(t)[1][0])
+
+
+def tangency_point_bisected(gamma_w: float) -> tuple[float | None, float]:
+    """(t*, kappa*) by halving kappa on the sign of the first lobe of g'.
+
+    The library's bracket [green(gamma_w)/1e4, green(gamma_w)]: a lobe
+    already positive at its lower end means no Markov region, (None, 0.0).
+    Then halvings until the bracket no longer moves in floating point; "no
+    lobe" counts as negative.  t* is the first maximum of g' at the upper
+    end, the last kappa whose lobe is not negative.
     """
     _check_tangency_domain(gamma_w)
     k_hi = green_boundary(gamma_w)
     k_lo = k_hi / 1e4
     h_lo = _first_gp_maximum(gamma_w, k_lo)
+    if h_lo is not None and h_lo[1] > 0.0:
+        return None, 0.0
     h_hi = _first_gp_maximum(gamma_w, k_hi)
     if h_hi is None or h_hi[1] <= 0.0:
         raise NoConvergence(
             "no positive first lobe of g' at the green boundary",
             {"gamma_w": gamma_w, "kappa_hi": k_hi, "h_hi": h_hi},
-        )
-    if h_lo is not None and h_lo[1] > 0.0:
-        raise NoConvergence(
-            "first lobe already positive at the lower kappa bracket",
-            {"gamma_w": gamma_w, "kappa_lo": k_lo, "h_lo": h_lo},
         )
     for _ in range(60):
         k_mid = 0.5 * (k_lo + k_hi)
@@ -165,7 +179,7 @@ def tangency_point_bisected(gamma_w: float) -> tuple[float, float]:
             k_lo = k_mid
         else:
             k_hi, h_hi = k_mid, h
-    return _tangency_newton(gamma_w, h_hi[0], k_hi, _NEWTON_TOL, _NEWTON_ITER)
+    return h_hi[0], k_hi
 
 
 def _qfi_from_matrices(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:

@@ -220,6 +220,24 @@ def test_phase_manifest_lists_divergences(tmp_path):
         assert any(abs(t - expected) < 0.02 for t in times)
 
 
+@pytest.mark.parametrize(
+    "subcommand, config, message",
+    [
+        ("gfun", {"t_max": "20"}, "t_max must be a number, got '20'"),
+        ("gfun", {"format": "xml"}, "format must be one of csv, json, got 'xml'"),
+        ("qsd", {"workers": "2"}, "workers must be an integer, got '2'"),
+    ],
+    ids=["string-number", "choice", "string-integer"],
+)
+def test_config_values_checked_like_flags_exit_2(tmp_path, capsys, subcommand, config, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    assert run([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
+
+
 def test_malformed_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -405,33 +423,48 @@ def test_readme_boundaries_recipe(tmp_path):
     rows = _read_csv(out)[1:]
     assert len(rows) == 60
     manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
-    assert list(manifest["tangency_errors"]) == ["0.05"]
+    assert manifest["tangency_errors"] == {}
+    assert manifest["no_markov_region"] == [0.05]
+    assert rows[0][3] == ""  # no Markov region at 0.05: empty, never 0
+    assert all(0.0 < float(r[3]) < float(r[1]) for r in rows[1:33])
+    assert all(r[3] == "" for r in rows[33:])
     # the closed-form green and blue columns, byte for byte
     columns = "".join(f"{r[1]},{r[2]}\n" for r in rows).encode()
     assert hashlib.sha256(columns).hexdigest() == (
         "0c12c8d92304b2064bab8f3f39a7c1444646f3853300bbf53f93f3cb983f367c"
     )
-    # kappa* of this recipe before the first-lobe refine became a Newton iteration
+    # kappa* of this recipe before the first-lobe refine became a Newton
+    # iteration; 1.6 is test_tangency_point_values_kept's value, where the
+    # continuation's 0.33987426868951265 left the first lobe at g'/kappa^2 =
+    # -3.1e-11 and the closed form leaves 1.8e-18
     for i, kappa in [
         (1, 0.056687694161128295),
         (9, 0.27474639208485674),
         (19, 0.36359988750924732),
-        (31, 0.33987426868951265),
+        (31, 0.339874270402564),
         (32, 0.33165503086114223),
     ]:
         # row i holds gamma_w = 0.05 (i + 1): 0.1, 0.5, 1.0, 1.6 and 1.65
         assert float(rows[i][3]) == pytest.approx(kappa, rel=1e-12, abs=0.0), rows[i]
 
 
-def test_boundaries_manifest_keeps_tangency_error(tmp_path):
+def test_boundaries_manifest_keeps_tangency_error(tmp_path, monkeypatch):
     out = tmp_path / "b.csv"
     assert run(["boundaries", "--gamma-w-range", "0.05:0.1:0.05", "--out", str(out)]) == 0
     rows = _read_csv(out)
     assert rows[1][3] == "" and rows[2][3] != ""
     manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
-    assert manifest["tangency_errors"] == {
-        "0.05": "first lobe already positive at the lower kappa bracket"
-    }
+    assert manifest["tangency_errors"] == {}
+    assert manifest["no_markov_region"] == [0.05]
+    # a failed solve is an error of its row, not a missing Markov region
+    monkeypatch.setattr(nmgeo.phasediagram, "_tangency_residual", lambda gw, k: (math.nan, 1.0))
+    assert run(["boundaries", "--gamma-w-range", "0.05:0.1:0.05", "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert rows[1][3] == "" and rows[2][3] == ""
+    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+    assert list(manifest["tangency_errors"]) == ["0.05", "0.1"]
+    assert all(e.startswith("tangency residual nan") for e in manifest["tangency_errors"].values())
+    assert manifest["no_markov_region"] == []
 
 
 def test_markov_limit_manifest_roots(tmp_path):

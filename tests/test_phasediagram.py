@@ -12,7 +12,6 @@ from nmgeo import (
     REGION_MARKOV,
     REGION_NONDIVERGENT,
     ModelParams,
-    NmgeoError,
     NoConvergence,
     OutOfDomain,
     blue_boundary,
@@ -30,15 +29,8 @@ from nmgeo import (
 )
 from nmgeo import phasediagram
 from nmgeo.gfunction import GSolution, _ModalCells, _sign_changes
-from nmgeo.phasediagram import (
-    _N_SCAN,
-    _T_SCAN,
-    _first_gp_maximum,
-    _tangency_newton,
-    _tangency_solution,
-)
 
-from oracles import _bisect_brackets, tangency_point_bisected
+from oracles import _N_SCAN, _T_SCAN, _bisect_brackets, _first_gp_maximum, tangency_point_bisected
 
 JOIN_KAPPA = 3.0 * math.sqrt(3.0) / 16.0
 
@@ -121,8 +113,8 @@ def test_tangency_point_values_kept(gamma_w, kappa):
 
 
 def test_first_gp_maximum_matches_bisection_reference():
-    # the shared Newton refiner against the reference bisector of tests/oracles.py,
-    # halving g'' to 1e-12 on the same scan bracket
+    # the oracles' first-lobe scan, refined by the shared Newton refiner,
+    # against the reference bisector halving g'' to 1e-12 on the same bracket
     rng = np.random.default_rng(3)
     checked = 0
     for gw, u in zip(rng.uniform(0.02, 1.68, 80), rng.uniform(-4.0, 0.3, 80)):
@@ -176,28 +168,33 @@ def test_classify_point_kernel_calls(count_calls, gamma_w, kappa):
 
 
 def test_tangency_curve_call_counts(count_calls):
-    # the README range 0.05:1.65:0.05 as the CLI parses it; bisecting the
-    # first lobe's g'' zero to 1e-12 took 5,393 evaluations here, and 508
-    # solve_g calls on np.linspace(0.05, 1.65, 33) (509 here)
+    # the README range 0.05:1.65:0.05 as the CLI parses it; the first-lobe
+    # scans, Brent seed and continued Newton took 63 scans, 486 g
+    # evaluations and 394 solve_g calls here
     evals = count_calls(GSolution, "eval")
     solves = count_calls(phasediagram, "solve_g")
-    _tangency_solution.cache_clear()
+    roots = count_calls(phasediagram, "cubic_roots")
     points = tangency_curve(0.05 + 0.05 * np.arange(33))
-    assert [p.error is None for p in points] == [False] + [True] * 32
-    assert evals() <= 5393 // 2
-    assert solves() <= 508
+    assert all(p.error is None for p in points)
+    assert [p.t_star is None for p in points] == [True] + [False] * 32
+    assert evals() == 0 and solves() == 0
+    assert roots() <= 20 * 33
 
 
-def _tangency_or_error(find, gamma_w):
-    try:
-        return find(gamma_w)
-    except NmgeoError as exc:
-        return type(exc), str(exc)
+@pytest.mark.parametrize("gamma_w", [0.1, 0.5, 1.0, 1.6, 1.65])
+def test_tangency_point_first_lobe_calls(count_calls, gamma_w):
+    # halving kappa took 54-57 first-lobe scans here, the Brent seed 7-24;
+    # the closed form solves one cubic per secant step and evaluates no g
+    evals = count_calls(GSolution, "eval")
+    roots = count_calls(phasediagram, "cubic_roots")
+    tangency_point(gamma_w)
+    assert evals() == 0
+    assert roots() <= 20
 
 
 def test_tangency_point_matches_bisection_reference():
-    # the Brent seed against halving kappa (tests/oracles.py): both Newtons
-    # end on the same tangency, and the bracket checks fail alike below the
+    # the closed form against halving kappa on the scanned first lobe of g'
+    # (tests/oracles.py), which agree also on "no Markov region" below the
     # endpoint at gamma_w ~ 0.0735
     rng = np.random.default_rng(13)
     for gw in [*rng.uniform(0.075, GREEN_BLUE_JOIN, 24), 1.60, 1.625, 1.65]:
@@ -205,54 +202,52 @@ def test_tangency_point_matches_bisection_reference():
         assert abs(k - k_ref) <= 1e-13 * k_ref, gw
         assert abs(t - t_ref) <= 1e-9, gw
     for gw in (0.05, 0.06, 0.0725):
-        error = _tangency_or_error(tangency_point, gw)
-        assert error == _tangency_or_error(tangency_point_bisected, gw)
-        assert error == (NoConvergence, "first lobe already positive at the lower kappa bracket")
+        assert tangency_point(gw) == tangency_point_bisected(gw) == (None, 0.0)
 
 
-@pytest.mark.parametrize("gamma_w", [0.1, 0.5, 1.0, 1.6, 1.65])
-def test_tangency_point_first_lobe_calls(count_calls, gamma_w):
-    # halving kappa took 54-57 first-lobe evaluations here
-    lobes = count_calls(phasediagram, "_first_gp_maximum")
-    tangency_point(gamma_w)
-    assert lobes() <= 24
+def test_tangency_endpoint_has_no_markov_region_below():
+    # kappa*^2 ~ 0.107 (gamma_w - gamma_w0), gamma_w0 ~ 0.0735386
+    assert tangency_point(0.0735) == (None, 0.0)
+    assert tangency_curve([0.0735]) == [phasediagram.TangencyPoint(0.0735, None, 0.0)]
+    t_star, k_star = tangency_point(0.07354)
+    assert 0.0 < k_star < green_boundary(0.07354)
+    sol = solve_g(ModelParams(kappa=k_star, gamma_w=0.07354))
+    _, gp, gpp = sol.eval(t_star)
+    assert max(abs(gp[0]), abs(gpp[0])) / k_star**2 <= 1e-9
 
 
-def test_tangency_curve_first_lobe_calls(count_calls):
-    # halving kappa took 145 first-lobe evaluations and 477 solve_g calls here
-    lobes = count_calls(phasediagram, "_first_gp_maximum")
-    solves = count_calls(phasediagram, "solve_g")
-    _tangency_solution.cache_clear()
-    tangency_curve(0.05 + 0.05 * np.arange(33))
-    assert lobes() <= 80
-    assert solves() <= 420
+def test_tangency_past_the_old_scan_window():
+    # at 1.68 the first lobe of g' lies at t* ~ 83, past the 60-unit scan
+    # window the first-lobe search had; a dense grid puts the first maximum
+    # of g' at t*, where g' touches 0 from below
+    t_star, k_star = tangency_point(1.68)
+    assert t_star == pytest.approx(83.07, abs=0.01)
+    assert k_star == pytest.approx(0.32619, abs=1e-5)
+    ts = np.linspace(1e-6, 120.0, 240001)
+    _, gp, gpp = solve_g(ModelParams(kappa=k_star, gamma_w=1.68)).eval(ts)
+    flips, _ = _sign_changes(gpp, np.zeros(ts.size, dtype=np.intp))
+    assert abs(ts[flips[1]] - t_star) <= ts[1] - ts[0]
+    assert np.max(gp) / k_star**2 <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "height, cause",
-    # NaN has no sign; a step just above the lower bracket end outlasts brentq's maxiter
-    [
-        (lambda k, k_lo: math.nan, ValueError),
-        (lambda k, k_lo: -1.0 if k < k_lo * (1.0 + 1e-7) else 1e300, RuntimeError),
-    ],
-    ids=["nan", "step"],
-)
-def test_tangency_search_failure_is_no_convergence(monkeypatch, height, cause):
+@pytest.mark.parametrize("inside_only", [False, True], ids=["nan", "nan_inside"])
+def test_tangency_search_failure_is_no_convergence(monkeypatch, inside_only):
+    # NaN has no sign: at the bracket ends, or only at the secant's steps
     gw = 0.5
     k_hi = green_boundary(gw)
-    k_lo, first_lobe = k_hi / 1e4, phasediagram._first_gp_maximum
+    ends, true = (k_hi / 1e4, k_hi), phasediagram._tangency_residual
 
     def patched(gamma_w, k):
-        # the true bracket ends pass the bracket checks; g' = height * kappa^2
-        return first_lobe(gamma_w, k) if k in (k_lo, k_hi) else (20.0, height(k, k_lo) * k * k)
+        return true(gamma_w, k) if inside_only and k in ends else (math.nan, 20.0)
 
-    monkeypatch.setattr(phasediagram, "_first_gp_maximum", patched)
-    with pytest.raises(NoConvergence, match="kappa search on the first lobe") as info:
+    monkeypatch.setattr(phasediagram, "_tangency_residual", patched)
+    with pytest.raises(NoConvergence, match="tangency residual") as info:
         tangency_point(gw)
-    assert isinstance(info.value.__cause__, cause)
-    assert info.value.diagnostics == {"gamma_w": gw, "kappa_lo": k_lo, "kappa_hi": k_hi}
+    assert {"gamma_w": gw, "kappa_lo": k_hi / 1e4, "kappa_hi": k_hi}.items() <= (
+        info.value.diagnostics.items()
+    )
     point = tangency_curve([gw])[0]  # recorded in its row, not raised
-    assert point.kappa is None and point.error.startswith("kappa search on the first lobe")
+    assert point.kappa is None and point.error.startswith("tangency residual")
 
 
 def test_tangency_domain():
@@ -284,7 +279,8 @@ def test_tangency_curve_against_ode_oracle(curve):
 
 
 def test_tangency_curve_guard_keeps_first_lobe(curve):
-    # between 1.60 and 1.65 the first lobe of g' jumps from t ~ 24.3 to t ~ 37.0
+    # between 1.60 and 1.65 the first lobe of g' jumps from t ~ 24.3 to t ~ 37.0;
+    # the closed form's t* is on the first lobe the scan finds
     p160, p165 = curve[-2], curve[-1]
     assert p160.t_star == pytest.approx(24.28, abs=0.01)
     assert p165.t_star == pytest.approx(36.99, abs=0.01)
@@ -294,8 +290,8 @@ def test_tangency_curve_guard_keeps_first_lobe(curve):
 
 def test_tangency_curve_records_missing_markov_region():
     points = tangency_curve([0.05, 0.10, 0.15])
-    assert points[0].error == "first lobe already positive at the lower kappa bracket"
-    assert points[0].t_star is None and points[0].kappa is None
+    assert points[0].error is None
+    assert points[0].t_star is None and points[0].kappa == 0.0
     assert all(p.error is None and p.kappa > 0.0 for p in points[1:])
 
 
@@ -305,12 +301,10 @@ def test_tangency_curve_domain():
 
 
 def test_scaled_newton_keeps_small_kappa_tangency():
-    # g' and g'' are O(kappa^2): on the unscaled residual, Newton from a seed
-    # with half the kappa slides to kappa ~ 1e-5, where |g'|, |g''| < 1e-10
+    # g' and g'' are O(kappa^2), so a residual in them not scaled by kappa^2
+    # is below 1e-10 near kappa ~ 1e-5 with no tangency there
     t_star, k_star = tangency_point(0.10)
     assert k_star == pytest.approx(0.0567, abs=1e-4)
-    t, k = _tangency_newton(0.10, t_star, 0.5 * k_star, 1e-10, 60)
-    assert abs(k - k_star) <= 1e-8
     descending = tangency_curve([0.20, 0.15, 0.10])
     assert abs(descending[-1].kappa - k_star) <= 1e-8
 

@@ -55,18 +55,22 @@ def test_no_unreferenced_private_name():
     assert not unused, unused
 
 
-# run in a fresh interpreter: argv is src, the output path; prints one JSON line
+# run in a fresh interpreter: argv is src and two output paths; prints one JSON line
 _IMPORT_GUARD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import nmgeo, nmgeo.cli
 heavy = ["scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse"]
-code = nmgeo.cli.run(["gfun", "--gamma-w", "0.9", "--kappa", "0.43",
-                      "--t-max", "20", "--dt", "0.01", "--out", sys.argv[2]])
+codes = [
+    nmgeo.cli.run(["gfun", "--gamma-w", "0.9", "--kappa", "0.43",
+                   "--t-max", "20", "--dt", "0.01", "--out", sys.argv[2]]),
+    nmgeo.cli.run(["boundaries", "--gamma-w-range", "0.05:3.0:0.05", "--out", sys.argv[3]]),
+]
 cold = [m for m in heavy if m in sys.modules]
-nmgeo.g_ode_oracle(nmgeo.ModelParams(kappa=0.43, gamma_w=0.9), nmgeo.GridSpec(0.01, 2000))
 kappa = nmgeo.tangency_point(0.5)[1]
-print(json.dumps({"code": code, "cold": cold,
+tangency = [m for m in heavy if m in sys.modules]
+nmgeo.g_ode_oracle(nmgeo.ModelParams(kappa=0.43, gamma_w=0.9), nmgeo.GridSpec(0.01, 2000))
+print(json.dumps({"codes": codes, "cold": cold, "tangency": tangency,
                   "loaded": [m for m in heavy if m in sys.modules], "kappa": kappa}))
 """
 
@@ -75,14 +79,17 @@ def test_cli_recipe_loads_no_scipy_submodule(tmp_path):
     # this session has imported scipy already, so the check needs its own interpreter
     src = str(Path(nmgeo.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, src, str(tmp_path / "g.csv")],
+        [sys.executable, "-c", _IMPORT_GUARD, src, str(tmp_path / "g.csv"),
+         str(tmp_path / "b.csv")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["code"] == 0
+    assert report["codes"] == [0, 0]
+    # the README gfun and boundaries recipes, then tangency_point, load none
     assert report["cold"] == []
-    # the ODE oracle and the tangency seed load what they call
-    assert {"scipy.integrate", "scipy.optimize"} <= set(report["loaded"])
+    assert report["tangency"] == []
+    # only the ODE oracle loads scipy.integrate (which brings its own imports)
+    assert "scipy.integrate" in report["loaded"]
     # the value test_tangency_point_values_kept pins
     assert report["kappa"] == pytest.approx(0.27474639208486323, rel=1e-12, abs=0.0)
