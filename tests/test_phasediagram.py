@@ -181,6 +181,18 @@ def test_tangency_curve_call_counts(count_calls):
     assert roots() <= 20 * 33
 
 
+def test_tangency_curve_first_lobe_calls(count_calls):
+    # halving kappa took 145 first-lobe scans and 477 solve_g calls here; each
+    # closed-form first-lobe lookup is one cubic, 263 lookups on this range
+    lobes = count_calls(phasediagram, "_tangency_residual")
+    solves = count_calls(phasediagram, "solve_g")
+    roots = count_calls(phasediagram, "cubic_roots")
+    tangency_curve(0.05 + 0.05 * np.arange(33))
+    assert lobes() <= 10 * 33
+    assert roots() == lobes()
+    assert solves() == 0
+
+
 @pytest.mark.parametrize("gamma_w", [0.1, 0.5, 1.0, 1.6, 1.65])
 def test_tangency_point_first_lobe_calls(count_calls, gamma_w):
     # halving kappa took 54-57 first-lobe scans here, the Brent seed 7-24;
