@@ -322,8 +322,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         setattr(cfg, key, value)
     if not cfg.out:
         raise ConfigError("--out is required (flag or config file)")
-    if cfg.dt <= 0.0 or cfg.t_max <= 0.0:
-        raise ConfigError(f"need t_max > 0 and dt > 0, got t_max={cfg.t_max}, dt={cfg.dt}")
+    if not (0.0 < cfg.t_max < math.inf and 0.0 < cfg.dt < math.inf):
+        raise ConfigError(
+            f"need finite t_max > 0 and dt > 0, got t_max={cfg.t_max}, dt={cfg.dt}"
+        )
     if not (0.0 <= cfg.theta <= math.pi):
         raise ConfigError(f"--theta must lie in [0, pi], got {cfg.theta}")
     if cfg.subcommand == "sweep":

@@ -19,6 +19,7 @@ points of |g| all live here.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,9 +38,13 @@ MARKOV = "markov"
 _ROOT_SUM_MAX_WEIGHT = 64.0
 # terms of the confluent form's series; the first left out is < 1e-18 of its first
 _TAYLOR_TERMS = 20
+# factor on the bound of the modes a dominant mode must outweigh: a margin
+# far above the kernel's rounding, at a cost of ln(1.01)/gap in time
+_DOMINANCE_SLACK = 1.01
 # scan points evaluated at once: their temporaries stay in the CPU cache and
 # below the allocator's mmap threshold (glibc may still trim the heap top
-# after each chunk, so later chunks can fault in fresh pages)
+# after a chunk, so the next can fault in fresh pages: about 1,300-2,500
+# minor faults in a sweep of the 30 x 30 README sub-grid at t_max = 200)
 _SCAN_CHUNK = 2**12
 
 
@@ -249,6 +254,51 @@ class _ModalCells:
                 rates[:, c] = half.real
                 weights[[0, 1, 3], :, c] = w.real
         self._any_confluent = bool(self._confluent.any())
+
+    def take(self, cells: np.ndarray) -> _ModalCells:
+        """The kernel of the cells with the indices cells alone."""
+        sub = copy.copy(self)
+        sub._params, sub._ode, sub._newton = (
+            a.take(cells, axis=1) for a in (self._params, self._ode, self._newton)
+        )
+        sub._confluent = self._confluent[cells]
+        sub._any_confluent = bool(sub._confluent.any())
+        return sub
+
+    def dominance(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T, pair) per cell: past T one mode alone sets the signs of g, g', g''.
+
+        A real-dominated cell, the slowest mode real (w0 with the pair
+        decaying faster, w2 of three real roots), has that mode's term of
+        g^(m), m = 0, 1, 2, above the bounds of the others: hypot(A_m, B_m)
+        for the pair, |w0_m| + |A_m| for the two faster real modes, all
+        decaying at least at the rate r1.  Past T neither g, g' nor g'' has
+        a zero.  A pair-dominated cell (pair = True) holds g^(m) = e^{r1 t}
+        (R_m cos(b t - theta_m) + eps_m) with eps_m = w0_m e^{-(r1 - r0) t}
+        and R_m = hypot(A_m, B_m).  Past T, |eps_m| < R_m/2 and |eps_m'| <
+        (sqrt(3)/2) R_m b for m = 0, 2, so each half-period of u = b t -
+        theta_m holds one zero of g^(m), in its middle third: there
+        |cos u| <= 1/2 and |sin u| >= sqrt(3)/2, and |cos u| > 1/2 elsewhere.
+        Each bound carries _DOMINANCE_SLACK.  T is inf where no mode
+        dominates: confluent cells, Markov baths, tied rates and zero or
+        non-finite weights.
+        """
+        r0, r1, r2, b = self._params[:4]
+        w = self._params[4:].reshape(4, 3, -1)  # basis (w0, A, B, w2), derivative order, cell
+        amp = np.hypot(w[1], w[2])
+        osc = b > 0.0
+        gap = np.where(osc, r0, r2) - r1
+        pair = osc & (gap < 0.0)
+        with np.errstate(all="ignore"):  # zero or tiny weights give inf or NaN
+            dom = np.abs(np.where(osc, w[0], w[3]))
+            rest = np.where(osc, amp, np.abs(w[0]) + np.abs(w[1]))
+            real = np.log(_DOMINANCE_SLACK * rest / dom).max(axis=0) / gap
+            eps = 2.0 * _DOMINANCE_SLACK * np.abs(w[0, ::2]) / amp[::2]
+            slope = np.log(-gap * eps / (math.sqrt(3.0) * b))
+            settle = np.maximum(np.log(eps), slope).max(axis=0) / -gap
+        settle = np.maximum(np.where(pair, settle, real), 0.0)
+        settled = ~self._confluent & (gap != 0.0) & np.isfinite(settle)
+        return np.where(settled, settle, np.inf), pair & settled
 
     def eval(self, t: np.ndarray, cell: np.ndarray | None = None):
         """(g, g', g'') at the times t[i] of the cells cell[i].
@@ -468,34 +518,52 @@ def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
     """(zeros of g in (0, t_max], critical points of |g|, |g| at each) per cell.
 
     All cells are evaluated together by one stacked kernel, _ModalCells,
-    whatever their form, and scanned in chunks of _SCAN_CHUNK samples.  Each
-    cell scans g and g'' on its grid np.linspace(0, t_max, n + 1), n from
-    _scan_intervals, and one call of _ModalCells.refine refines every sign
-    change of both, each bracket with its own derivative order; a sample
-    exactly at zero between samples of opposite sign is a zero itself.  g'
-    is monotone between consecutive zeros of g'' (with 0 and t_max as the
-    outer ends), so a second call refines its zeros bracketed there, which
-    also catches lobes of g' narrower than the scan step.  The critical points
-    {0, zeros of g, zeros of g', t_max} come sorted, and |g| is monotone
-    between consecutive ones; the zeros of g come sorted too.
+    whatever their form; see _scan.
     """
-    cells = _ModalCells(sols)
-    n_cells = len(sols)
-    ids = np.arange(n_cells)
-
-    # the grids, one after another, sample k at (t(k), cell(k)); scanned in
-    # chunks whose temporaries stay in the cache
     n = np.array([_scan_intervals(sol, t_max) for sol in sols])
-    first = np.cumsum(n + 1) - (n + 1)
-    step = t_max / n
+    return _scan(_ModalCells(sols), n, t_max)
+
+
+def _scan(cells: _ModalCells, n: np.ndarray, t_max: float) -> list[tuple]:
+    """_critical_points of the cells of a kernel, cell c on the grid of n[c] steps.
+
+    Each cell scans g and g'' on the nodes of its grid np.linspace(0,
+    t_max, n + 1), in chunks of _SCAN_CHUNK samples, as far as _scan_plan
+    says: to the end where one mode settles the signs of both.  Past it a
+    pair-dominated cell has one zero of g^(m) in the middle third of each
+    half-period of its phase, bracketed from the phase (_phase_brackets) in
+    the grid step a scan would bracket.  One call of
+    _ModalCells.refine refines every sign change and phase bracket, each
+    with its own derivative order; a sample exactly at zero between samples
+    of opposite sign is a zero itself.  g' is monotone between consecutive
+    zeros of g'' (with 0 and t_max as the outer ends), so a second call
+    refines its zeros bracketed there, which also catches lobes of g'
+    narrower than the scan step.  The critical points {0, zeros of g, zeros
+    of g', t_max} come sorted, and |g| is monotone between consecutive ones;
+    the zeros of g come sorted too.
+    """
+    n_cells = n.size
+    ids = np.arange(n_cells)
+    end, k0, count, theta = _scan_plan(cells, n, t_max)
+
+    # the scanned nodes, one cell after another, sample k at (t(k), cell(k));
+    # scanned in chunks whose temporaries stay in the cache
+    last = end.max(axis=0)
+    first = np.cumsum(last + 1) - (last + 1)
+
+    def cell_of(k):
+        return np.searchsorted(first, k, side="right") - 1
 
     def grid(k):
-        c = np.searchsorted(first, k, side="right") - 1
-        t = (k - first[c]) * step[c]
-        t[k == first[c] + n[c]] = t_max
-        return t, c
+        c = cell_of(k)
+        return _node(k - first[c], n[c], t_max), c
 
-    size = int(first[-1] + n[-1] + 1)
+    def before_end(k, m):
+        # past a cell's end[m], its phase brackets hold the zeros of g^(m)
+        c = cell_of(k)
+        return k[k - first[c] < end[m, c]]
+
+    size = int(first[-1] + last[-1] + 1)
     found: list = [[], [], [], []]  # sign changes of g, zero samples of g, then of g''
     for a in range(0, size, _SCAN_CHUNK):
         width = min(_SCAN_CHUNK, size - a)
@@ -506,12 +574,16 @@ def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
             i, k = _sign_changes(values, c)
             found[2 * m].append(a + i[i < width])
             found[2 * m + 1].append(a + k[k <= width])
-    ig, kg, i2, k2 = (np.concatenate(ks) for ks in found)
+    ig, kg, i2, k2 = (before_end(np.concatenate(ks), m // 2) for m, ks in enumerate(found))
 
-    # sign changes of g and g'' on the grids, refined together
+    # the grid steps holding a sign change of g or g'', refined together
     i = np.concatenate([ig, i2])
-    (t_lo, owner), (t_hi, _) = grid(i), grid(i + 1)
-    order = np.repeat([0, 2], [ig.size, i2.size])
+    owner = cell_of(i)
+    p_node, p_cell, p_order = _phase_brackets(cells, n, k0, count, theta, t_max)
+    j = np.concatenate([i - first[owner], p_node])
+    owner = np.concatenate([owner, p_cell])
+    order = np.concatenate([np.repeat([0, 2], [ig.size, i2.size]), p_order])
+    t_lo, t_hi = _node(j, n[owner], t_max), _node(j + 1, n[owner], t_max)
     z = cells.refine(t_lo, t_hi, owner, order)
     of_g = order == 0
     (tg, cg), (t2, c2) = grid(kg), grid(k2)
@@ -538,6 +610,105 @@ def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
     return list(
         zip(np.split(zg, zg_cut), np.split(crit, crit_cut), np.split(abs_g, crit_cut))
     )
+
+
+def _scan_plan(cells: _ModalCells, n: np.ndarray, t_max: float):
+    """Where _scan stops scanning each cell, and its phase brackets past that.
+
+    Returns (end, k0, count, theta), one row per derivative order m of g
+    and g'' and one column per cell: the scan's sign changes of g^(m) are
+    used up to grid node end[m] (end = n scans the whole grid).  Past it,
+    count[m] half-periods [k pi, (k + 1) pi] of u = b t - theta[m], k from
+    k0[m] on, each hold one zero of g^(m) in their middle third
+    (_ModalCells.dominance).  A real-dominated cell scans to the first node
+    at or after T.  A pair-dominated one scans to a node past T + step
+    outside the middle thirds, past the end of the third it would stop in:
+    a zero of g^(m) up to that node is the scan's, a later one lies in a
+    middle third that begins after it.
+    """
+    step = t_max / n
+    settle, pair = cells.dominance()
+    b = cells._params[3]
+    w = cells._params[4:].reshape(4, 3, -1)[:, ::2]
+    theta = np.arctan2(w[2], w[1])
+    with np.errstate(all="ignore"):  # b = 0 off the pair-dominated cells, T = inf where unsettled
+        end = np.minimum(np.ceil(settle / step), n)
+        u = b * (end + 1.0) * step - theta
+        third = u - math.pi * np.floor(u / math.pi)
+        inside = (math.pi / 3.0 <= third) & (third <= 2.0 * math.pi / 3.0)
+        beyond = np.floor((u - third + 2.0 * math.pi / 3.0 + theta) / b / step) + 1.0
+        past = np.minimum(np.where(inside, beyond, end + 1.0), n)
+        k0 = np.floor((b * past * step - theta - math.pi / 3.0) / math.pi) + 1.0
+        count = np.ceil((b * t_max - theta - math.pi / 3.0) / math.pi) - k0
+    end = np.where(pair, past, end).astype(np.intp)
+    count = np.where(pair & (end < n), np.maximum(count, 0.0), 0.0).astype(np.intp)
+    return end, k0, count, theta
+
+
+def _scan_points(cells: _ModalCells, n: np.ndarray, t_max: float) -> np.ndarray:
+    """Points _scan holds per cell: its scanned nodes plus its phase brackets."""
+    end, _, count, _ = _scan_plan(cells, n, t_max)
+    return end.max(axis=0) + 1 + count.sum(axis=0)
+
+
+def _phase_brackets(cells: _ModalCells, n, k0, count, theta, t_max: float):
+    """(node, cell, order) of the grid steps [node, node + 1] holding the zeros
+    of g^(order) in the half-periods of _scan_plan.
+
+    In half-period k, g^(m) = e^{r1 t} (R cos u + eps) with |eps| at most
+    its bound E at the half-period's start, so the zero lies where |cos u|
+    <= E/R <= 1/2, around u = k pi + pi/2, and g^(m) has the sign (-1)^k
+    before that window and the other after it.  The window is widened to
+    the grid nodes around it and halved over its nodes on the sign of
+    g^(m): the grid step found is the one a scan would bracket, so the
+    refined zero is the scan's.  A node exactly at zero is the zero itself,
+    as in the scan.  The last window may reach past t_max: clipped there,
+    it holds a zero only where the sign at t_max differs.
+    """
+    counts = count.ravel()
+    flat = np.repeat(np.arange(counts.size), counts)  # (order row, cell) of each bracket
+    row, cell = np.divmod(flat, count.shape[1])
+    k = k0.ravel()[flat] + (np.arange(flat.size) - (np.cumsum(counts) - counts)[flat])
+    order, nc = 2 * row, n[cell]
+    r0, r1, b = cells._params[[0, 1, 3]][:, cell]
+    w = cells._params[4:].reshape(4, 3, -1)[:, order, cell]  # basis (w0, A, B), bracket
+    bt = theta.ravel()[flat] + k * math.pi  # b t at the half-period's start
+    # |eps| at the start or at t = 0, whichever is later: the window lies past T >= 0
+    decay = np.exp((r0 - r1) * np.maximum(bt / b, 0.0))
+    ratio = _DOMINANCE_SLACK * np.abs(w[0]) * decay / np.hypot(w[1], w[2])
+    half = np.arcsin(np.minimum(ratio, 0.5)) + 1e-6  # and past the rounding of u
+    step = t_max / nc * b  # grid step in b t
+    lo = np.floor((bt + 0.5 * math.pi - half) / step)
+    hi = np.minimum(np.ceil((bt + 0.5 * math.pi + half) / step), nc)
+    s_lo = 1.0 - 2.0 * (k % 2.0)
+    s_hi = -s_lo
+
+    def sign(j, i):
+        """Sign of g^(order) at node j of the brackets i."""
+        y = cells.eval(_node(j, nc[i], t_max), cell[i])
+        return np.sign(np.where(order[i] == 0, y[0], y[2]))
+
+    cut = np.nonzero(hi == nc)[0]
+    if cut.size:
+        s_hi[cut] = sign(hi[cut], cut)
+    keep = s_lo * s_hi < 0.0
+    lo, hi, s_lo, s_hi, cell, order, nc = (
+        a[keep] for a in (lo, hi, s_lo, s_hi, cell, order, nc)
+    )
+    live = np.nonzero(hi - lo > 1.0)[0]
+    while live.size:
+        mid = np.floor(0.5 * (lo[live] + hi[live]))
+        s = sign(mid, live)
+        right = s == s_lo[live]
+        lo[live] = np.where(right, mid, lo[live])
+        hi[live], s_hi[live] = np.where(right, hi[live], mid), np.where(right, s_hi[live], s)
+        live = live[hi[live] - lo[live] > 1.0]
+    return np.where(s_hi == 0.0, hi, lo).astype(np.intp), cell, order
+
+
+def _node(j, n, t_max: float):
+    """Time of node j of the grid np.linspace(0, t_max, n + 1): j t_max/n, t_max at j = n."""
+    return np.where(j == n, t_max, j * (t_max / n))
 
 
 def _sign_changes(values: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

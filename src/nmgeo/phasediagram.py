@@ -18,9 +18,11 @@ import numpy as np
 
 from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
-    GSolution,
     _critical_points,
+    _ModalCells,
+    _scan,
     _scan_intervals,
+    _scan_points,
     _total_rise,
     cubic_roots,
     solve_g,
@@ -36,8 +38,12 @@ REGION_ERROR = "ERR"
 
 N_THRESHOLD = 1e-6
 
-# scan points one block of sweep cells holds; bounds the sweep's memory
+# points (scanned grid nodes and phase brackets) one block of sweep cells
+# holds; bounds the sweep's memory
 _BLOCK_POINTS = 2**15
+# cells the sweep solves before classifying them; bounds the memory their
+# solutions hold (about 1 kB each)
+_SOLVE_CELLS = 2**12
 
 
 def green_boundary(gamma_w: float) -> float:
@@ -196,47 +202,68 @@ def classify_point(gamma_w: float, kappa: float, t_max: float = 200.0) -> PhaseC
     brackets; see _classify for how roots and N_total are found.
     """
     sol = solve_g(ModelParams(kappa=kappa, gamma_w=gamma_w))
-    return _record(gamma_w, kappa, *_classify([sol], t_max)[0])
+    return _record(gamma_w, kappa, *_classify(_critical_points([sol], t_max))[0])
 
 
 def sweep(gamma_values, kappa_values, t_max: float = 200.0) -> list[PhaseCell]:
     """Classify every (gamma_w, kappa) grid node, row-major in gamma then kappa.
 
-    Cells are classified together, whatever form their g takes, in blocks
-    of at most _BLOCK_POINTS scan points (a larger cell alone).  Each cell's
-    record equals classify_point's.
+    Cells are solved _SOLVE_CELLS at a time and classified together,
+    whatever form their g takes, in blocks of at most _BLOCK_POINTS points:
+    the scanned nodes plus the phase brackets of gfunction._scan (a larger
+    cell alone).  Each cell's record equals classify_point's.
     Per-cell failures are recorded in the cell (region ERR), a failure of a
     whole block in each of its cells, and never abort the sweep.
     """
     points = [(g, k) for g in gamma_values for k in kappa_values]
     cells: list = [None] * len(points)
-    block, held = [], 0
-    for i, (g, k) in enumerate(points):
-        try:
-            sol = solve_g(ModelParams(kappa=k, gamma_w=g))
-            size = _scan_intervals(sol, t_max) + 1
-        except Exception as exc:  # recorded, not raised
-            cells[i] = _error_record(g, k, exc)
-            continue
-        if block and held + size > _BLOCK_POINTS:
-            _classify_into(cells, points, block, t_max)
-            block, held = [], 0
-        block.append((i, sol))
-        held += size
-    if block:
-        _classify_into(cells, points, block, t_max)
+    for a in range(0, len(points), _SOLVE_CELLS):
+        _sweep_cells(cells, points, range(a, min(a + _SOLVE_CELLS, len(points))), t_max)
     return cells
 
 
-def _classify_into(cells: list, points: list, block: list, t_max: float):
-    """Classify the (index, solution) pairs of one block into cells[index]."""
+def _sweep_cells(cells: list, points: list, indices, t_max: float):
+    """Solve the cells points[i], i in indices, and classify them block by block."""
+    index, sols, n = [], [], []
+    for i in indices:
+        try:
+            sol = solve_g(ModelParams(kappa=points[i][1], gamma_w=points[i][0]))
+            n.append(_scan_intervals(sol, t_max))
+        except Exception as exc:  # recorded, not raised
+            cells[i] = _error_record(*points[i], exc)
+            continue
+        index.append(i)
+        sols.append(sol)
+    if not sols:
+        return
+    n = np.array(n)
     try:
-        results = _classify([sol for _, sol in block], t_max)
-    except Exception as exc:  # recorded in each cell of the block, not raised
-        for i, _ in block:
+        modal = _ModalCells(sols)
+        sizes = _scan_points(modal, n, t_max)
+    except Exception as exc:  # recorded in each cell, not raised
+        for i in index:
             cells[i] = _error_record(*points[i], exc)
         return
-    for (i, _), result in zip(block, results):
+    bounds, held = [0], 0
+    for j, size in enumerate(sizes):
+        if j > bounds[-1] and held + size > _BLOCK_POINTS:
+            bounds.append(j)
+            held = 0
+        held += size
+    bounds.append(len(sols))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        _classify_into(cells, points, index[a:b], modal.take(np.arange(a, b)), n[a:b], t_max)
+
+
+def _classify_into(cells: list, points: list, index, modal: _ModalCells, n, t_max: float):
+    """Classify the cells of one block, points[index[c]] held by modal, into cells[index[c]]."""
+    try:
+        results = _classify(_scan(modal, n, t_max))
+    except Exception as exc:  # recorded in each cell of the block, not raised
+        for i in index:
+            cells[i] = _error_record(*points[i], exc)
+        return
+    for i, result in zip(index, results):
         cells[i] = _record(*points[i], *result)
 
 
@@ -256,13 +283,13 @@ def _error_record(gamma_w, kappa, exc: Exception) -> PhaseCell:
     )
 
 
-def _classify(sols: list[GSolution], t_max: float) -> list[tuple[float | None, float]]:
-    """(first zero of g in (0, t_max] or None, N_total) of each cell, found together.
+def _classify(critical_points: list) -> list[tuple[float | None, float]]:
+    """(first zero of g in (0, t_max] or None, N_total) of each cell of _critical_points.
 
     N_total is the sum of the rises of |g| between consecutive critical
-    points from _critical_points: exact, with no time grid.
+    points: exact, with no time grid.
     """
-    out = []
-    for zeros, _, abs_g in _critical_points(sols, t_max):
-        out.append((float(zeros[0]) if zeros.size else None, _total_rise(abs_g)))
-    return out
+    return [
+        (float(zeros[0]) if zeros.size else None, _total_rise(abs_g))
+        for zeros, _, abs_g in critical_points
+    ]

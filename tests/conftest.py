@@ -30,16 +30,18 @@ def rng():
 def count_calls(monkeypatch):
     """count_calls(owner, name) counts the calls of owner.name until the test ends.
 
-    Returns a function giving the count so far.  A call count does not move
-    with the machine's load, so it bounds work where a timing would be loose.
+    Returns a function giving the count so far.  With weight, each call
+    counts weight(*args, **kwargs) instead of 1 (the points of a call, say).
+    A call count does not move with the machine's load, so it bounds work
+    where a timing would be loose.
     """
 
-    def count(owner, name):
+    def count(owner, name, weight=None):
         original = getattr(owner, name)
         calls = [0]
 
         def counted(*args, **kwargs):
-            calls[0] += 1
+            calls[0] += 1 if weight is None else weight(*args, **kwargs)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)

@@ -8,7 +8,9 @@ _first_gp_maximum scans for the first lobe of g', and
 tangency_point_bisected halves kappa on its sign, the reference for the
 library's closed-form tangency; qfi_series_eigh takes the QFI
 from the eigendecomposition of the 2x2 density matrices, the reference for
-the library's Bloch-vector closed form.
+the library's Bloch-vector closed form.  critical_points_full_scan scans g and
+g'' over the whole window, the reference for the library's scan, which
+stops where one mode settles the signs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from nmgeo import (
     solve_g,
 )
 from nmgeo.dynamics import _initial_family
-from nmgeo.gfunction import _sign_changes
+from nmgeo.gfunction import _ModalCells, _scan_intervals, _sign_changes, _sorted_by_cell
 from nmgeo.phasediagram import _check_tangency_domain
 
 # first-lobe scan window and samples of _first_gp_maximum
@@ -222,3 +224,68 @@ def qfi_series_eigh(
     drho[:, 1, 0] = np.conj(drho[:, 0, 1])
     drho[:, 1, 1] = -drho[:, 0, 0]
     return _qfi_from_matrices(rho, drho)
+
+
+def critical_points_full_scan(sols: list[GSolution], t_max: float) -> list[tuple]:
+    """(zeros of g in (0, t_max], critical points of |g|, |g| at each) per cell.
+
+    The library's _critical_points before its scan was cut: every cell scans
+    g and g'' on its whole grid np.linspace(0, t_max, n + 1), n from
+    _scan_intervals, and one call of _ModalCells.refine refines every sign
+    change of both; a sample exactly at zero between samples of opposite
+    sign is a zero itself.  g' is monotone between consecutive zeros of g''
+    (with 0 and t_max as the outer ends), so a second call refines its
+    zeros bracketed there.
+    """
+    cells = _ModalCells(sols)
+    n_cells = len(sols)
+    ids = np.arange(n_cells)
+    n = np.array([_scan_intervals(sol, t_max) for sol in sols])
+    first = np.cumsum(n + 1) - (n + 1)
+    step = t_max / n
+
+    def grid(k):
+        c = np.searchsorted(first, k, side="right") - 1
+        t = (k - first[c]) * step[c]
+        t[k == first[c] + n[c]] = t_max
+        return t, c
+
+    size = int(first[-1] + n[-1] + 1)
+    chunk = 2**12
+    found: list = [[], [], [], []]  # sign changes of g, zero samples of g, then of g''
+    for a in range(0, size, chunk):
+        width = min(chunk, size - a)
+        t, c = grid(np.arange(a, min(a + width + 2, size)))
+        g, _, gpp = cells.eval(t, c)
+        for m, values in enumerate((g, gpp)):
+            i, k = _sign_changes(values, c)
+            found[2 * m].append(a + i[i < width])
+            found[2 * m + 1].append(a + k[k <= width])
+    ig, kg, i2, k2 = (np.concatenate(ks) for ks in found)
+
+    i = np.concatenate([ig, i2])
+    (t_lo, owner), (t_hi, _) = grid(i), grid(i + 1)
+    order = np.repeat([0, 2], [ig.size, i2.size])
+    z = cells.refine(t_lo, t_hi, owner, order)
+    of_g = order == 0
+    (tg, cg), (t2, c2) = grid(kg), grid(k2)
+    zg, zg_cell = _sorted_by_cell([z[of_g], tg], [owner[of_g], cg])
+    z2, z2_cell = np.concatenate([z[~of_g], t2]), np.concatenate([owner[~of_g], c2])
+
+    ends, end_cell = _sorted_by_cell(
+        [np.zeros(n_cells), z2, np.full(n_cells, t_max)], [ids, z2_cell, ids]
+    )
+    gp_ends = cells.eval(ends, end_cell)[1]
+    gp_ends[ends == 0.0] = 0.0
+    j, k1 = _sign_changes(gp_ends, end_cell)
+    zp = cells.refine(ends[j], ends[j + 1], end_cell[j], 1)
+
+    crit, crit_cell = _sorted_by_cell(
+        [np.zeros(n_cells), zg, zp, ends[k1], np.full(n_cells, t_max)],
+        [ids, zg_cell, end_cell[j], end_cell[k1], ids],
+    )
+    abs_g = np.abs(cells.eval(crit, crit_cell)[0])
+    zg_cut, crit_cut = np.searchsorted(zg_cell, ids[1:]), np.searchsorted(crit_cell, ids[1:])
+    return list(
+        zip(np.split(zg, zg_cut), np.split(crit, crit_cut), np.split(abs_g, crit_cut))
+    )

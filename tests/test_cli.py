@@ -275,6 +275,30 @@ def test_structural_config_errors_exit_2(tmp_path):
     assert run(["phase", *base, "--theta", "4.0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--gamma-w-range", "0.9:0.9:0.1", "--kappa-range", "0.43:0.43:0.1",
+         "--t-max", "nan"],
+        ["sweep", "--gamma-w-range", "0.9:0.9:0.1", "--kappa-range", "0.43:0.43:0.1",
+         "--t-max", "inf"],
+        ["nonmarkov", "--gamma-w", "0.9", "--kappa", "0.43", "--t-max", "nan"],
+        ["gfun", "--gamma-w", "0.9", "--kappa", "0.43", "--t-max", "nan"],
+        ["qsd", "--gamma-w", "0.9", "--kappa", "0.43", "--t-max", "nan", "--n-traj", "100"],
+        ["gfun", "--gamma-w", "0.9", "--kappa", "0.43", "--dt", "nan"],
+        ["gfun", "--gamma-w", "0.9", "--kappa", "0.43", "--dt", "inf"],
+    ],
+    ids=["sweep-nan", "sweep-inf", "nonmarkov-nan", "gfun-nan", "qsd-nan", "dt-nan", "dt-inf"],
+)
+def test_non_finite_t_max_and_dt_exit_2(tmp_path, capsys, argv):
+    # sweep wrote all-ERR CSVs with exit 0, the others failed with exit 1 (a
+    # traceback for nonmarkov): a NaN passed the t_max > 0 check
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert "configuration error: need finite t_max > 0 and dt > 0" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
+
+
 def test_computation_error_exits_1_and_writes_manifest(tmp_path):
     out = tmp_path / "g.csv"
     code = run([

@@ -25,12 +25,21 @@ from nmgeo.gfunction import (
     MARKOV,
     ROOT_SUM,
     _critical_points,
+    _ModalCells,
+    _scan_intervals,
+    _scan_plan,
     _sign_changes,
 )
-from nmgeo.phasediagram import GREEN_BLUE_JOIN, blue_boundary, classify_point, sweep
+from nmgeo.phasediagram import (
+    GREEN_BLUE_JOIN,
+    blue_boundary,
+    classify_point,
+    green_boundary,
+    sweep,
+)
 
 from conftest import EXCEPTION_POINT, MARKOV_POINT, REF_POINT
-from oracles import _bisect_brackets
+from oracles import _bisect_brackets, critical_points_full_scan
 
 JOIN_KAPPA = 3.0 * math.sqrt(3.0) / 16.0
 
@@ -551,3 +560,89 @@ def test_newton_brackets_match_bisection_reference():
             assert np.all(np.abs(newton - expect) <= 1e-12 * np.maximum(1.0, expect)), (gw, k)
             count += i.size
     assert count > 3000
+
+
+# ---------------------------------------------------------------------------
+# the scan cut where one mode dominates, against the full scan
+# ---------------------------------------------------------------------------
+
+# the 30 x 30 sub-grid 0.02:3.0:0.1 x 0.005:0.6:0.02 of the README sweep box
+SUBGRID = [(gw, k) for gw in 0.02 + 0.1 * np.arange(30) for k in 0.005 + 0.02 * np.arange(30)]
+
+
+def _solutions(points):
+    return [solve_g(ModelParams(kappa=float(k), gamma_w=float(gw))) for gw, k in points]
+
+
+def _differing_cells(sols, t_max):
+    """Parameters of the cells whose critical points differ from the full scan's in any bit."""
+    cut, full = _critical_points(sols, t_max), critical_points_full_scan(sols, t_max)
+    return [
+        sol.params
+        for sol, a, b in zip(sols, cut, full)
+        if not all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+    ]
+
+
+def test_cut_scan_equals_full_scan_on_readme_subgrid():
+    # the phase brackets are narrowed to the grid step a scan brackets, so
+    # pair-dominated cells are bitwise equal too, not only the real-dominated
+    sols = _solutions(SUBGRID)
+    cells, n = _ModalCells(sols), np.array([_scan_intervals(sol, 200.0) for sol in sols])
+    settle, pair = cells.dominance()
+    end, _, count, _ = _scan_plan(cells, n, 200.0)
+    # both cuts are taken: real-dominated cells stop early, pair-dominated
+    # ones place most of their zeros from the phase
+    assert np.count_nonzero(~pair & (end.max(axis=0) < n)) > 400
+    assert np.count_nonzero(pair & (count.sum(axis=0) > 0)) > 400
+    assert count.sum() > 20000
+    assert _differing_cells(sols, 200.0) == []
+
+
+def _join_neighbourhood():
+    """Root-sum cells around the triple root at the join, weights up to about 56."""
+    points = [
+        (GREEN_BLUE_JOIN + dg, JOIN_KAPPA + dk)
+        for dg in np.linspace(-0.05, 0.05, 21)
+        for dk in np.linspace(-0.02, 0.02, 21)
+    ]
+    return [sol for sol in _solutions(points) if not sol.confluent]
+
+
+HAND_PICKED = (
+    # within 1e-4 of the green and blue curves, and near-ties r0 ~ r1 on the
+    # green curve, where the dominance takes longer than any window
+    [(gw, green_boundary(gw) + d) for gw in (0.1, 0.3, 0.9, 1.5, 1.68) for d in (-1e-4, 1e-4)]
+    + [(gw, green_boundary(gw) + d) for gw in (0.3, 0.9, 1.5) for d in (-1e-9, 1e-9)]
+    + [(gw, blue_boundary(gw) + d) for gw in (1.7, 2.0, 2.5, 2.8, 3.0) for d in (-1e-4, 1e-4)]
+    # g = 1, Markov baths, and a double root on the blue curve (confluent)
+    + [(gw, 0.0) for gw in (0.02, 0.9, 3.0)]
+    + [(math.inf, k) for k in (0.1, 0.25, 0.26, 0.5)]
+    + [(2.4, blue_boundary(2.4)), (GREEN_BLUE_JOIN, JOIN_KAPPA)]
+)
+
+
+@pytest.mark.parametrize("t_max", [20.0, 200.0, 1000.0])
+def test_cut_scan_equals_full_scan_on_hand_picked_cells(t_max):
+    rng = np.random.default_rng(17)
+    random = list(zip(rng.uniform(0.02, 3.0, 200), rng.uniform(0.005, 0.6, 200)))
+    join = _join_neighbourhood()
+    assert 40.0 < max(np.max(np.abs(sol.weights)) for sol in join) <= 64.0
+    sols = _solutions(HAND_PICKED + random) + join
+    assert _differing_cells(sols, t_max) == []
+
+
+def test_cut_scan_equals_full_scan_with_the_cut_next_to_t_max():
+    # t_max a hair below and above the time T where the cut starts, and a
+    # scan step either side of it, for real- and pair-dominated cells
+    sols = [sol for sol in _solutions(SUBGRID[::7]) if not sol.confluent]
+    settle, pair = _ModalCells(sols).dominance()
+    checked = [0, 0]
+    for sol, t, p in zip(sols, settle, pair):
+        if not 1.0 < t < 500.0:
+            continue
+        step = sol.scan_step()
+        for t_max in (t * (1.0 - 1e-9), t * (1.0 + 1e-9), t - step, t + step, t + 3.0 * step):
+            assert _differing_cells([sol], t_max) == [], t_max
+        checked[bool(p)] += 1
+    assert min(checked) >= 10

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,9 +29,16 @@ from nmgeo import (
     tangency_point,
 )
 from nmgeo import phasediagram
-from nmgeo.gfunction import GSolution, _ModalCells, _sign_changes
+from nmgeo.gfunction import GSolution, _ModalCells, _scan_intervals, _sign_changes
 
-from oracles import _N_SCAN, _T_SCAN, _bisect_brackets, _first_gp_maximum, tangency_point_bisected
+from oracles import (
+    _N_SCAN,
+    _T_SCAN,
+    _bisect_brackets,
+    _first_gp_maximum,
+    critical_points_full_scan,
+    tangency_point_bisected,
+)
 
 JOIN_KAPPA = 3.0 * math.sqrt(3.0) / 16.0
 
@@ -476,6 +484,52 @@ def test_sweep_cells_equal_classify_point_alone(readme_sweep):
     assert sweep(gammas, kappas, t_max=50.0) == [
         classify_point(g, k, t_max=50.0) for g in gammas for k in kappas
     ]
+
+
+def test_sweep_scans_a_twentieth_of_the_full_grids(count_calls):
+    # the README sub-grid 0.02:3.0:0.1 x 0.005:0.6:0.02 at t_max = 200: the
+    # kernel's points outside refine (the scan, the phase brackets' halving
+    # and the |g| and g' evaluations) against the full scan's grid points
+    gammas, kappas = 0.02 + 0.1 * np.arange(30), 0.005 + 0.02 * np.arange(30)
+    full = sum(
+        _scan_intervals(solve_g(ModelParams(kappa=float(k), gamma_w=float(g))), 200.0) + 1
+        for g in gammas
+        for k in kappas
+    )
+    points = count_calls(_ModalCells, "eval", lambda self, t, cell=None: t.size)
+    refined = count_calls(_ModalCells, "slopes", lambda self, t, cell, order: t.size)
+    sweep(gammas, kappas, t_max=200.0)
+    assert points() - refined() <= 0.05 * full
+    # the refiner gets the full scan's brackets, so it does the same work
+    scanned, before = points(), refined()
+    sols = [solve_g(ModelParams(kappa=float(k), gamma_w=float(g))) for g in gammas for k in kappas]
+    critical_points_full_scan(sols, 200.0)
+    assert points() - scanned - (refined() - before) >= full
+    assert refined() - before == before
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_benchmark_sized_sweep_runs_in_one_block(count_calls, shift):
+    # the benchmark's 10 x 10 sub-grid, shifted by up to one README step
+    blocks = count_calls(phasediagram, "_scan")
+    gammas = 0.02 + 0.02 * shift + 0.3 * np.arange(10)
+    kappas = 0.005 + 0.005 * shift + 0.06 * np.arange(10)
+    cells = sweep(gammas, kappas, t_max=200.0)
+    assert blocks() == 1
+    assert {c.region for c in cells} == {REGION_MARKOV, REGION_NONDIVERGENT, REGION_DIVERGENT}
+
+
+def test_sweep_dominance_analysis_warns_nothing():
+    # zero weights (kappa = 0), a Markov bath, confluent cells and tied rates
+    # on the green curve: numpy warnings, raised here, would turn into ERR cells
+    gammas = [0.02, 0.9, GREEN_BLUE_JOIN, 2.4, 3.0]
+    kappas = [0.0, 1e-9, green_boundary(0.9), blue_boundary(2.4), 0.3, 0.6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = sweep(gammas, kappas, t_max=200.0)
+        cells.append(classify_point(math.inf, 0.3))
+        cells.append(classify_point(math.inf, 0.0))
+    assert all(c.region != REGION_ERROR for c in cells), [c.error for c in cells]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 5, 97])
