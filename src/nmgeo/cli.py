@@ -16,6 +16,7 @@ import time
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy
@@ -51,6 +52,8 @@ SWEEP_COLUMNS = ["gamma_w", "kappa", "region", "t_first_divergence", "N_total", 
 # larger grids are refused before anything is allocated
 _MAX_SERIES_SAMPLES = 10**7
 _MAX_PARAMETER_POINTS = 10**6  # sweep cells, boundaries rows
+# list items a JSON writer encodes at once
+_JSON_ITEMS = 2**12
 
 
 def _fmt(x) -> str:
@@ -122,9 +125,38 @@ def write_series_json(series: TimeSeries, path: str) -> None:
         name: (None if arr is None else np.asarray(arr, dtype=float).tolist())
         for name, arr in cols.items()
     }
+    _write_json(payload, path)
+
+
+def _write_json(payload, path: str) -> None:
+    """payload as json.dump writes it, and a newline."""
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.writelines(_json_pieces(payload))
         fh.write("\n")
+
+
+def _json_pieces(value):
+    """The text of json.dumps(value), in pieces, for dicts with string keys.
+
+    json.dumps runs the C encoder; json.dump streams through the
+    pure-Python one, about twice as slow.  A dict is encoded one value at
+    a time and a long list _JSON_ITEMS items at a time, so the text held
+    at once stays small (the C encoder keeps one string per number until
+    it joins them).
+    """
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_pieces(item)
+        yield "}"
+    elif isinstance(value, list) and len(value) > _JSON_ITEMS:
+        yield "["
+        for a in range(0, len(value), _JSON_ITEMS):
+            yield (", " if a else "") + json.dumps(value[a : a + _JSON_ITEMS])[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(value)
 
 
 def write_sweep_csv(cells: list[PhaseCell], path: str) -> None:
@@ -155,9 +187,7 @@ def write_sweep_json(cells: list[PhaseCell], path: str) -> None:
         }
         for c in cells
     ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    _write_json(payload, path)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +295,10 @@ class RunConfig:
         return GridSpec.uniform(self.t_max, self.dt)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by run and load_config
+    (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="nmgeo",
         description="Qubit-in-lossy-cavity dynamics: g(t), phases, "
@@ -460,9 +493,7 @@ def _run_boundaries(cfg: RunConfig):
 
 def _write_boundaries(rows, cfg: RunConfig):
     if cfg.format == "json":
-        with open(cfg.out, "w") as fh:
-            json.dump(rows, fh)
-            fh.write("\n")
+        _write_json(rows, cfg.out)
         return
     with open(cfg.out, "w", newline="") as fh:
         fh.write("gamma_w,kappa_green,kappa_blue,kappa_tangency\n")

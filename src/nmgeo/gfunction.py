@@ -50,14 +50,22 @@ _SCAN_CHUNK = 2**12
 
 def cubic_coefficients(p: ModelParams) -> np.ndarray:
     """Monic coefficients [1, 2 gw, 4 k^2 + 2 gw Gw, 8 k^2 gw] of the characteristic cubic."""
-    return np.array(
-        [
-            1.0,
-            2.0 * p.gamma_w,
-            4.0 * p.kappa**2 + 2.0 * p.gamma_w * p.Gamma_w,
-            8.0 * p.kappa**2 * p.gamma_w,
-        ]
-    )
+    return _cubic_rows(p.kappa**2, p.gamma_w, p.Gamma_w)
+
+
+def _cubic_rows(k2, gamma_w, Gamma_w) -> np.ndarray:
+    """cubic_coefficients of each point of the arrays k2 = kappa**2, gamma_w, Gamma_w, one row each.
+
+    k2 comes from Python's float power, libm's pow, as in cubic_coefficients:
+    numpy's square, kappa * kappa, differs from it in the last bit at some
+    points.
+    """
+    rows = np.empty(np.shape(k2) + (4,))
+    rows[..., 0] = 1.0
+    rows[..., 1] = 2.0 * gamma_w
+    rows[..., 2] = 4.0 * k2 + 2.0 * gamma_w * Gamma_w
+    rows[..., 3] = 8.0 * k2 * gamma_w
+    return rows
 
 
 def ode_state_matrix(p: ModelParams) -> np.ndarray:
@@ -74,42 +82,75 @@ def cubic_roots(p: ModelParams) -> np.ndarray:
     Complex roots come out as an exact conjugate pair.  Requires resonant
     parameters; kappa = 0 is allowed (roots 0 and the free-cavity pair).
     """
+    _check_cubic(p)
+    return _stacked_roots(cubic_coefficients(p)[None])[0]
+
+
+def _check_cubic(p: ModelParams):
     validate_params(p)
     if not p.resonant():
         raise NotResonant("characteristic cubic is derived at omega == omega_c == Omega_w")
-    coeffs = cubic_coefficients(p)
-    if coeffs[3] == 0.0:
-        # np.roots drops the zero constant term and appends the exact root 0
-        roots = np.roots(coeffs).astype(complex)
-    else:
-        # np.roots' companion matrix of the monic cubic, without its trimming
-        companion = np.array([-coeffs[1:], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        roots = np.linalg.eigvals(companion).astype(complex)
+
+
+def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
+    """cubic_roots of the monic cubics with the (finite) rows of coeffs, one row each.
+
+    Each row's values are np.roots' and two np.polyval Newton steps', bit
+    for bit, whatever rows are solved with it: one np.linalg.eigvals call
+    per companion size takes every row's companion matrix, and the rest
+    is elementwise.
+    """
+    roots = _companion_eigvals(coeffs[:, 1:]).astype(complex)
+    # np.roots drops zero trailing coefficients (kappa = 0) from the
+    # companion matrix and appends their exact roots 0
+    trimmed = np.nonzero(coeffs[:, 3] == 0.0)[0]
+    if trimmed.size:
+        two = coeffs[trimmed, 2] != 0.0
+        for s, rows in ((2, trimmed[two]), (1, trimmed[~two])):
+            roots[rows] = 0.0
+            roots[rows, :s] = _companion_eigvals(coeffs[rows, 1 : s + 1])
     # Newton polish: companion eigenvalues are good to ~1e-12 relative; two
     # steps push residuals to rounding so exp(x t / 2) stays accurate at large t.
     # Horner in np.polyval's order of operations (so the roots round as with
-    # it), on the cubic and on its derivative [3, 2 c1, c2]
-    dcoeffs = (3.0, 2.0 * coeffs[1], coeffs[2])
+    # it), on the cubic and, together, on its derivative [0, 3, 2 c1, c2] (a
+    # leading 0 leaves its values as they are); each coefficient spread over
+    # its row, as the complex value np.polyval adds
+    horner = np.zeros((4, 2, *roots.shape), dtype=complex)
+    horner[:, 0] = coeffs.T[:, :, None]
+    horner[1, 1] = 3.0
+    horner[2, 1] = 2.0 * coeffs[:, 1:2]
+    horner[3, 1] = coeffs[:, 2:3]
     for _ in range(2):
-        fv = dv = np.zeros_like(roots)
-        for c in coeffs:
-            fv = fv * roots + c
-        for c in dcoeffs:
-            dv = dv * roots + c
-        ok = np.abs(dv) > 0
-        roots[ok] = roots[ok] - fv[ok] / dv[ok]
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    imag = np.abs(roots.imag) > 1e-10 * scale
-    if np.count_nonzero(imag) == 2:
-        i, j = np.nonzero(imag)[0]
-        pair = 0.5 * (roots[i] + np.conj(roots[j]))
-        roots[i], roots[j] = pair, np.conj(pair)
-        k = np.nonzero(~imag)[0][0]
-        roots[k] = roots[k].real
-    elif np.count_nonzero(imag) == 0:
-        roots = roots.real.astype(complex)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
+        v = np.zeros(horner.shape[1:], dtype=complex)
+        for c in horner:
+            v = v * roots + c
+        ok = np.abs(v[1]) > 0
+        roots = np.where(ok, roots - v[0] / np.where(ok, v[1], 1.0), roots)
+    # three real roots lose their rounding's imaginary parts; a complex pair
+    # next to the real root becomes the exact conjugate pair of the mean of
+    # the first of them and the second's conjugate
+    scale = np.fmax(np.abs(roots).max(axis=1), 1.0)
+    imag = np.abs(roots.imag) > 1e-10 * scale[:, None]
+    count = imag.sum(axis=1)
+    out = np.where((count == 0)[:, None], roots.real, roots)
+    pair = np.nonzero(count == 2)[0]
+    if pair.size:
+        x = roots[pair[:, None], np.argsort(imag[pair], axis=1, kind="stable")]
+        mean = 0.5 * (x[:, 1] + np.conj(x[:, 2]))
+        out[pair] = np.array([x[:, 0].real, mean, np.conj(mean)]).T
+    # sorted by (real, imag); stable, as np.lexsort is, for equal values
+    return np.sort(out, axis=1, kind="stable")
+
+
+def _companion_eigvals(c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrices of the monic polynomials with
+    the coefficients c[i] after the leading 1: np.roots' matrices, one
+    np.linalg.eigvals call."""
+    m, s = c.shape
+    companion = np.zeros((m, s, s))
+    companion[:, 0] = -c
+    companion.reshape(m, s * s)[:, s :: s + 1] = 1.0  # the subdiagonal
+    return np.linalg.eigvals(companion)
 
 
 def cubic_discriminant(p: ModelParams) -> float:
@@ -165,9 +206,7 @@ class GSolution:
     def confluent(self) -> bool:
         """True where _ModalCells takes the confluent form: a Markov bath, or a
         root sum with a weight above _ROOT_SUM_MAX_WEIGHT (or not finite)."""
-        if self.method != ROOT_SUM:
-            return True
-        return not np.all(np.abs(self.weights) <= _ROOT_SUM_MAX_WEIGHT)
+        return bool(self._modal._confluent[0])
 
     def g(self, t) -> np.ndarray:
         return self.eval(t)[0]
@@ -197,19 +236,58 @@ def solve_g(p: ModelParams) -> GSolution:
     that blow up at a repeated root are not used: _ModalCells evaluates
     such a cell in the confluent form.
     """
-    validate_params(p)
-    if p.is_markov_limit:
-        return GSolution(params=p, method=MARKOV)
-    roots = cubic_roots(p)
-    gw, Gw, k2 = p.gamma_w, p.Gamma_w, p.kappa**2
-    num = 2.0 * gw * Gw + 2.0 * roots * gw + roots**2
-    den = 4.0 * k2 + 2.0 * gw * Gw + 4.0 * roots * gw + 3.0 * roots**2
+    sol = _solve_each([p])[0]
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
+
+
+def _solve_each(points: list[ModelParams]) -> list:
+    """solve_g at each point, or the exception it raises there.
+
+    The root sums' cubics are solved together by _stacked_roots and their
+    weights computed together, elementwise.  A cubic with a non-finite
+    coefficient is refused by np.linalg.eigvals, on its own.
+    """
+    out: list = []
+    cells, rows = [], []  # index and (kappa, kappa**2, gamma_w, Gamma_w) of each root sum
+    for p in points:
+        try:
+            validate_params(p)
+            if not p.is_markov_limit:
+                _check_cubic(p)
+                # Python's float power, as cubic_coefficients squares (it
+                # raises OverflowError where kappa**2 overflows)
+                rows.append((p.kappa, p.kappa**2, p.gamma_w, p.Gamma_w))
+                cells.append(len(out))
+        except Exception as exc:  # the point's result: solve_g raises it there
+            out.append(exc)
+            continue
+        out.append(GSolution(params=p, method=MARKOV) if p.is_markov_limit else None)
+    if not cells:
+        return out
+    kappa, k2, gw, Gw = np.array(rows).T[:, :, None]
+    coeffs = _cubic_rows(k2[:, 0], gw[:, 0], Gw[:, 0])
+    finite = np.isfinite(coeffs).all(axis=1)
+    if not finite.all():
+        for c in np.nonzero(~finite)[0]:
+            try:
+                _stacked_roots(coeffs[c : c + 1])
+            except np.linalg.LinAlgError as exc:
+                out[cells[c]] = exc
+        cells = [cells[c] for c in np.nonzero(finite)[0]]
+        coeffs, kappa, k2, gw, Gw = (a[finite] for a in (coeffs, kappa, k2, gw, Gw))
+    roots = _stacked_roots(coeffs)
+    shared, square = 2.0 * gw * Gw, roots**2
+    num = shared + 2.0 * roots * gw + square
+    den = 4.0 * k2 + shared + 4.0 * roots * gw + 3.0 * square
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = num / den
-    if p.kappa == 0.0:
-        # g = 1: all weight on the exact root 0, none left to rounding
-        weights = (roots == 0.0).astype(complex)
-    return GSolution(params=p, method=ROOT_SUM, roots=roots, weights=weights)
+    # g = 1 at kappa = 0: all weight on the exact root 0, none left to rounding
+    weights = np.where(kappa == 0.0, roots == 0.0, weights)
+    for c, x, w in zip(cells, roots, weights):
+        out[c] = GSolution(params=points[c], method=ROOT_SUM, roots=x, weights=w)
+    return out
 
 
 class _ModalCells:
@@ -231,29 +309,34 @@ class _ModalCells:
     def __init__(self, sols: list[GSolution]):
         # rows: r0, r1, r2, b, then the weights of w0, A, B, w2 for g, g', g''
         self._params = np.zeros((16, len(sols)))
-        rates, freq = self._params[:3], self._params[3]
-        weights = self._params[4:].reshape(4, 3, -1)
         self._ode = np.array([_ode_row(sol.params) for sol in sols]).T
         self._newton = np.zeros((13, len(sols)))
-        self._confluent = np.zeros(len(sols), dtype=bool)
-        for c, sol in enumerate(sols):
-            if sol.confluent:
-                self._confluent[c] = True
-                self._newton[:, c] = _confluent_rows(sol)
-                continue
-            half = sol.roots / 2.0
-            # weights of exp(x t/2) in g, g' and g'', mode x derivative order
-            w = np.array([sol.weights, sol.weights * half, sol.weights * half**2]).T
-            pair = np.nonzero(half.imag > 0.0)[0]
-            if pair.size:
-                k, r = pair[0], np.nonzero(half.imag == 0.0)[0][0]
-                rates[:2, c] = half[r].real, half[k].real
-                freq[c] = half[k].imag
-                weights[:3, :, c] = w[r].real, 2.0 * w[k].real, -2.0 * w[k].imag
-            else:
-                rates[:, c] = half.real
-                weights[[0, 1, 3], :, c] = w.real
+        none = (math.nan,) * 3  # a Markov bath: confluent
+        roots = np.array([none if s.roots is None else s.roots for s in sols], dtype=complex)
+        weights = np.array([none if s.weights is None else s.weights for s in sols], dtype=complex)
+        roots, weights = roots.reshape(-1, 3), weights.reshape(-1, 3)
+        self._confluent = ~np.all(np.abs(weights) <= _ROOT_SUM_MAX_WEIGHT, axis=1)
         self._any_confluent = bool(self._confluent.any())
+        for c in np.nonzero(self._confluent)[0]:
+            self._newton[:, c] = _confluent_rows(sols[c])
+        sep = np.nonzero(~self._confluent)[0]
+        half, weights = roots[sep] / 2.0, weights[sep]
+        # weights of exp(x t/2) in g, g' and g'': derivative order, cell, mode x
+        w = np.array([weights, weights * half, weights * half**2])
+        # the modes of r0, r1 (and b): the real root and the root with Im > 0
+        # of a pair, or the first two of three real roots
+        pair = (half.imag > 0.0).any(axis=1)
+        cell = np.arange(sep.size)
+        r = np.where(pair, np.argmax(half.imag == 0.0, axis=1), 0)
+        k = np.where(pair, np.argmax(half.imag > 0.0, axis=1), 1)
+        hk, wk = half[cell, k], w[:, cell, k]
+        p = np.zeros((16, sep.size))
+        p[0], p[1], p[3] = half[cell, r].real, hk.real, np.where(pair, hk.imag, 0.0)
+        p[4:7] = w[:, cell, r].real
+        p[7:10] = np.where(pair, 2.0 * wk.real, wk.real)
+        p[10:13] = np.where(pair, -2.0 * wk.imag, 0.0)
+        p[[2, 13, 14, 15]] = np.where(pair, 0.0, [half[:, 2].real, *w[:, :, 2].real])
+        self._params[:, sep] = p
 
     def take(self, cells: np.ndarray) -> _ModalCells:
         """The kernel of the cells with the indices cells alone."""

@@ -19,12 +19,14 @@ import numpy as np
 from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
     _critical_points,
+    _cubic_rows,
     _ModalCells,
     _scan,
     _scan_intervals,
     _scan_points,
+    _solve_each,
+    _stacked_roots,
     _total_rise,
-    cubic_roots,
     solve_g,
 )
 from .model import ModelParams
@@ -90,8 +92,9 @@ def _check_tangency_domain(gamma_w: float):
         )
 
 
-def _tangency_residual(gamma_w: float, kappa: float) -> tuple[float, float]:
-    """(F, t*) at kappa: F = 0 on the tangency, t* the time of the first lobe of g'.
+def _tangency_residual(gamma_w: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, t*) at each (gamma_w[i], kappa[i]): F = 0 on the tangency, t* the
+    time of the first lobe of g'.  One _stacked_roots call solves every cubic.
 
     At g' = g'' = 0 the mode amplitudes w_i e^{x_i t/2} are orthogonal to
     (x_i) and (x_i^2), so (x_i + 2 gamma_w) e^{x_i t/2} is the same for every
@@ -101,11 +104,14 @@ def _tangency_residual(gamma_w: float, kappa: float) -> tuple[float, float]:
     its imaginary part gives t* = (Arg Q + 2 pi)/Im(x1/2), its real part
     F = (Re x1 - x0) t*/2 - ln|Q|.
     """
-    x = cubic_roots(ModelParams(kappa=kappa, gamma_w=gamma_w))
-    x0, x1 = x[np.argmin(np.abs(x.imag))].real, x[np.argmax(x.imag)]
+    k2 = np.array([k**2 for k in kappa.tolist()])  # as cubic_coefficients squares
+    x = _stacked_roots(_cubic_rows(k2, gamma_w, 1.0))
+    rows = np.arange(len(x))
+    x0 = x[rows, np.argmin(np.abs(x.imag), axis=1)].real
+    x1 = x[rows, np.argmax(x.imag, axis=1)]
     q = (x0 + 2.0 * gamma_w) / (x1 + 2.0 * gamma_w)
     t = (np.angle(q) + 2.0 * math.pi) / (0.5 * x1.imag)
-    return float(0.5 * (x1.real - x0) * t - np.log(np.abs(q))), float(t)
+    return 0.5 * (x1.real - x0) * t - np.log(np.abs(q)), t
 
 
 def tangency_point(gamma_w: float) -> tuple[float | None, float]:
@@ -115,35 +121,81 @@ def tangency_point(gamma_w: float) -> tuple[float | None, float]:
     A bracketed secant (Illinois regula falsi, the midpoint where a step
     leaves the bracket) on the rising F of _tangency_residual over
     [green/1e4, green], to float resolution in kappa (F = 0 is a zero step),
-    one cubic_roots call per step.  F >= 0 at green/1e4 means no Markov
-    region; a NaN F, or one not positive at green, raises NoConvergence.
+    one cubic per step.  F >= 0 at green/1e4 means no Markov region; a NaN
+    F, or one not positive at green, raises NoConvergence.  This is
+    tangency_curve's secant on one point.
     """
     _check_tangency_domain(gamma_w)
-    hi = green_boundary(gamma_w)
+    point = _tangency_secants([gamma_w])[0]
+    if isinstance(point, NoConvergence):
+        raise point
+    return point
+
+
+def _tangency_secants(gammas: list) -> list:
+    """tangency_point at each gamma_w, or the NoConvergence it raises there.
+
+    Every point runs its own secant, with its own bracket, stopping rule
+    and 100-step limit, in lockstep with the others: one _tangency_residual
+    call per step takes the points still running.
+    """
+    n = len(gammas)
+    gw = np.array(gammas, dtype=float)
+    hi = np.array([green_boundary(g) for g in gammas])
     lo = hi / 1e4
-    (f_lo, _), (f_hi, t) = _tangency_residual(gamma_w, lo), _tangency_residual(gamma_w, hi)
-    details = {"gamma_w": gamma_w, "kappa_lo": lo, "kappa_hi": hi}
-    if math.isnan(f_lo) or not f_hi > 0.0:
-        raise NoConvergence(f"tangency residual {f_lo} at green/1e4, {f_hi} at green", details)
-    if f_lo >= 0.0:
-        return None, 0.0
-    k, moved, eps = hi, 0, 4.0 * np.finfo(float).eps
+    details = [
+        {"gamma_w": g, "kappa_lo": a, "kappa_hi": b}
+        for g, a, b in zip(gammas, lo.tolist(), hi.tolist())
+    ]
+    f, t = _tangency_residual(np.concatenate([gw, gw]), np.concatenate([lo, hi]))
+    f_lo, f_hi, t = f[:n], f[n:], t[n:]
+    points: list = [None] * n
+    bad = np.isnan(f_lo) | ~(f_hi > 0.0)
+    for i in np.nonzero(bad)[0]:
+        points[i] = NoConvergence(
+            f"tangency residual {float(f_lo[i])} at green/1e4, {float(f_hi[i])} at green",
+            details[i],
+        )
+    for i in np.nonzero(~bad & (f_lo >= 0.0))[0]:
+        points[i] = (None, 0.0)
+    live = np.array([i for i in range(n) if points[i] is None], dtype=np.intp)
+    k, moved, eps = hi.copy(), np.zeros(n), 4.0 * np.finfo(float).eps
+
+    def finish(done):
+        for i in done:
+            points[i] = (float(t[i]), float(k[i]))
+
     for _ in range(100):
-        new = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if abs(new - k) <= eps * k:
-            return t, k
-        k = new if lo < new < hi else 0.5 * (lo + hi)
-        f, t = _tangency_residual(gamma_w, k)
-        if math.isnan(f):
-            raise NoConvergence("tangency residual is NaN", {**details, "kappa": k})
+        if not live.size:
+            break
+        new = (lo[live] * f_hi[live] - hi[live] * f_lo[live]) / (f_hi[live] - f_lo[live])
+        done = np.abs(new - k[live]) <= eps * k[live]
+        finish(live[done])
+        live, new = live[~done], new[~done]
+        a, b = lo[live], hi[live]
+        k[live] = np.where((a < new) & (new < b), new, 0.5 * (a + b))
+        f, t[live] = _tangency_residual(gw[live], k[live])
+        nan = np.isnan(f)
+        for i in live[nan]:
+            points[i] = NoConvergence(
+                "tangency residual is NaN", {**details[i], "kappa": float(k[i])}
+            )
+        live, f = live[~nan], f[~nan]
         # Illinois: an end that stays twice has its value halved
-        if f < 0.0:
-            lo, f_lo, f_hi, moved = k, f, f_hi * (0.5 if moved < 0 else 1.0), -1
-        else:
-            hi, f_hi, f_lo, moved = k, f, f_lo * (0.5 if moved > 0 else 1.0), 1
-        if hi - lo <= eps * hi:
-            return t, k
-    raise NoConvergence("tangency secant did not reach float resolution", details)
+        neg = f < 0.0
+        lo[live] = np.where(neg, k[live], lo[live])
+        hi[live] = np.where(neg, hi[live], k[live])
+        f_lo[live], f_hi[live] = (
+            np.where(neg, f, f_lo[live] * np.where(moved[live] > 0, 0.5, 1.0)),
+            np.where(neg, f_hi[live] * np.where(moved[live] < 0, 0.5, 1.0), f),
+        )
+        moved[live] = np.where(neg, -1.0, 1.0)
+        done = hi[live] - lo[live] <= eps * hi[live]
+        finish(live[done])
+        live = live[~done]
+    for i in live:
+        points[i] = NoConvergence("tangency secant did not reach float resolution", details[i])
+    return points
 
 
 def tangency_boundary(gamma_w: float) -> float:
@@ -164,17 +216,15 @@ class TangencyPoint:
 
 def tangency_curve(gamma_values) -> list[TangencyPoint]:
     """tangency_point at each gamma_w, all checked against the domain first;
-    a point that fails records its error, never raises."""
+    a point that fails records its error, never raises.  The points' secants
+    run in lockstep (_tangency_secants)."""
     gammas = [float(gw) for gw in gamma_values]
     for gw in gammas:
         _check_tangency_domain(gw)
-    points = []
-    for gw in gammas:
-        try:
-            points.append(TangencyPoint(gw, *tangency_point(gw)))
-        except NmgeoError as exc:
-            points.append(TangencyPoint(gw, None, None, str(exc)))
-    return points
+    return [
+        TangencyPoint(gw, None, None, str(p)) if isinstance(p, NmgeoError) else TangencyPoint(gw, *p)
+        for gw, p in zip(gammas, _tangency_secants(gammas))
+    ]
 
 
 @dataclass(frozen=True)
@@ -208,7 +258,8 @@ def classify_point(gamma_w: float, kappa: float, t_max: float = 200.0) -> PhaseC
 def sweep(gamma_values, kappa_values, t_max: float = 200.0) -> list[PhaseCell]:
     """Classify every (gamma_w, kappa) grid node, row-major in gamma then kappa.
 
-    Cells are solved _SOLVE_CELLS at a time and classified together,
+    Cells are solved _SOLVE_CELLS at a time, their cubics by one stacked
+    root solve (gfunction._solve_each), and classified together,
     whatever form their g takes, in blocks of at most _BLOCK_POINTS points:
     the scanned nodes plus the phase brackets of gfunction._scan (a larger
     cell alone).  Each cell's record equals classify_point's.
@@ -223,11 +274,13 @@ def sweep(gamma_values, kappa_values, t_max: float = 200.0) -> list[PhaseCell]:
 
 
 def _sweep_cells(cells: list, points: list, indices, t_max: float):
-    """Solve the cells points[i], i in indices, and classify them block by block."""
+    """Solve the cells points[i], i in indices, together, and classify them block by block."""
     index, sols, n = [], [], []
-    for i in indices:
+    solved = _solve_each([ModelParams(kappa=points[i][1], gamma_w=points[i][0]) for i in indices])
+    for i, sol in zip(indices, solved):
         try:
-            sol = solve_g(ModelParams(kappa=points[i][1], gamma_w=points[i][0]))
+            if isinstance(sol, Exception):
+                raise sol
             n.append(_scan_intervals(sol, t_max))
         except Exception as exc:  # recorded, not raised
             cells[i] = _error_record(*points[i], exc)

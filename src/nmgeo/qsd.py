@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,6 +238,10 @@ def ensemble_density(
     if n_workers == 1 or n_chunks == 1:
         parts = [run_chunk(i) for i in range(n_chunks)]
     else:
+        # imported where a pool runs: importing concurrent.futures is a
+        # large share of importing nmgeo
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(run_chunk, range(n_chunks)))
 

@@ -17,6 +17,7 @@ from nmgeo.cli import (
     load_config,
     run,
     write_series_csv,
+    write_series_json,
     write_sweep_csv,
 )
 from nmgeo.errors import ConfigParseError, UnknownConfigKey
@@ -481,7 +482,10 @@ def test_boundaries_manifest_keeps_tangency_error(tmp_path, monkeypatch):
     assert manifest["tangency_errors"] == {}
     assert manifest["no_markov_region"] == [0.05]
     # a failed solve is an error of its row, not a missing Markov region
-    monkeypatch.setattr(nmgeo.phasediagram, "_tangency_residual", lambda gw, k: (math.nan, 1.0))
+    monkeypatch.setattr(
+        nmgeo.phasediagram, "_tangency_residual",
+        lambda gw, k: (np.full(k.shape, math.nan), np.ones(k.shape)),
+    )
     assert run(["boundaries", "--gamma-w-range", "0.05:0.1:0.05", "--out", str(out)]) == 0
     rows = _read_csv(out)
     assert rows[1][3] == "" and rows[2][3] == ""
@@ -563,3 +567,85 @@ def test_json_format_output(tmp_path):
     assert len(payload["t"]) == 11
     assert payload["g"][0] == 1.0
     assert payload["sx"] is None
+
+
+def _json_dump_bytes(payload, path) -> bytes:
+    """The bytes json.dump and a newline write: the writers' reference."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+def test_json_writers_match_json_dump(tmp_path):
+    # NaN, None and -0.0 in each JSON writer's payload, in lists longer than
+    # the writers encode at once
+    special = [math.nan, -0.0, 1.0 / 3.0, math.inf, 1e-300] * 2000
+    grid = GridSpec(0.1, len(special) - 1)
+    series = TimeSeries(grid, {"g": np.array(special), "gp": np.array(special[::-1])})
+    write_series_json(series, str(tmp_path / "s.json"))
+    payload = {
+        name: None if arr is None else np.asarray(arr, dtype=float).tolist()
+        for name, arr in cli._series_table(series).items()
+    }
+    assert payload["sx"] is None
+    expected = _json_dump_bytes(payload, tmp_path / "s.ref")
+    assert (tmp_path / "s.json").read_bytes() == expected
+
+    cells = [
+        PhaseCell(0.9, -0.0, "M", None, 0.0),
+        PhaseCell(0.9, 0.43, "NM_DIV", 5.186923, 1.5),
+        PhaseCell(-1.0, 0.1, "ERR", None, math.nan, "gamma_w must be > 0", "NonPositiveRate"),
+    ] * 3000
+    cli.write_sweep_json(cells, str(tmp_path / "c.json"))
+    payload = [
+        {"gamma_w": c.gamma_w, "kappa": c.kappa, "region": c.region,
+         "t_first_divergence": c.t_first_divergence,
+         "N_total": None if math.isnan(c.n_total) else c.n_total, "error": c.error}
+        for c in cells
+    ]
+    assert (tmp_path / "c.json").read_bytes() == _json_dump_bytes(payload, tmp_path / "c.ref")
+
+    rows = [{"gamma_w": 0.05, "green": -0.0, "blue": None, "tangency": math.nan,
+             "tangency_error": "tangency residual nan at green/1e4"}]
+    cfg = cli.RunConfig(subcommand="boundaries", out=str(tmp_path / "b.json"), format="json")
+    cli._write_boundaries(rows, cfg)
+    assert (tmp_path / "b.json").read_bytes() == _json_dump_bytes(rows, tmp_path / "b.ref")
+
+
+def _run_recipes(tmp_path, fresh: bool, capsys) -> list:
+    """(exit code, stderr, output bytes) of five CLI runs, sharing one parser
+    unless fresh, in which case each run builds its own."""
+    tmp_path.mkdir()
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps({"t_max": "20"}))
+    recipes = [
+        ["gfun", "--gamma-w", "0.9", "--kappa", "0.43", "--t-max", "2", "--dt", "0.01"],
+        ["gfun", "--gamma-w", "0.9", "--no-such-flag", "1"],
+        ["gfun", "--config", str(bad_config)],
+        ["boundaries", "--gamma-w-range", "0.05:3.0:0.05"],
+        # on the default t_max, which a flag left behind by gfun would change
+        ["sweep", "--gamma-w-range", "0.3:0.9:0.3", "--kappa-range", "0.1:0.5:0.2"],
+    ]
+    results = []
+    for i, argv in enumerate(recipes):
+        if fresh:
+            cli._build_parser.cache_clear()
+        out = tmp_path / f"out{i}.csv"
+        code = run([*argv, "--out", str(out)])
+        results.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+    return results
+
+
+def test_parser_built_once_gives_the_same_runs(tmp_path, capsys):
+    # the parser is built on first use and shared: a bad flag or a bad
+    # config in between changes no later run
+    cli._build_parser.cache_clear()
+    shared = _run_recipes(tmp_path / "shared", False, capsys)
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = _run_recipes(tmp_path / "fresh", True, capsys)
+    assert [r[0] for r in shared] == [0, 2, 2, 0, 0]
+    assert shared == [
+        (code, err.replace(str(tmp_path / "fresh"), str(tmp_path / "shared")), out)
+        for code, err, out in fresh
+    ]

@@ -29,6 +29,7 @@ from nmgeo.gfunction import (
     _scan_intervals,
     _scan_plan,
     _sign_changes,
+    _stacked_roots,
 )
 from nmgeo.phasediagram import (
     GREEN_BLUE_JOIN,
@@ -95,14 +96,29 @@ def _np_roots_polished(p):
     return roots[np.lexsort((roots.imag, roots.real))]
 
 
-def test_roots_bitwise_equal_to_np_roots_reference():
+def _reference_points() -> list:
+    """650 seeded points, the last 50 at kappa = 0."""
     rng = np.random.default_rng(11)
     n = 600
     gammas = np.concatenate([rng.uniform(0.01, 5.0, n), rng.uniform(0.01, 5.0, 50)])
     kappas = np.concatenate([10.0 ** rng.uniform(-9.0, 0.3, n), np.zeros(50)])
-    for gw, k in zip(gammas, kappas):
-        p = ModelParams(kappa=float(k), gamma_w=float(gw))
+    return [ModelParams(kappa=float(k), gamma_w=float(gw)) for gw, k in zip(gammas, kappas)]
+
+
+def test_roots_bitwise_equal_to_np_roots_reference():
+    for p in _reference_points():
         assert cubic_roots(p).tobytes() == _np_roots_polished(p).tobytes(), p
+
+
+def test_stacked_roots_bitwise_equal_to_np_roots_reference():
+    # the same points in one stacked call, the kappa = 0 rows (a 2 x 2
+    # companion and the exact root 0) mixed in among the others
+    points = _reference_points()
+    points = [points[i] for i in np.random.default_rng(12).permutation(len(points))]
+    roots = _stacked_roots(np.array([cubic_coefficients(p) for p in points]))
+    assert roots.shape == (650, 3)
+    for p, x in zip(points, roots):
+        assert x.tobytes() == _np_roots_polished(p).tobytes(), p
 
 
 def test_cubic_requires_resonance():

@@ -175,26 +175,33 @@ def test_classify_point_kernel_calls(count_calls, gamma_w, kappa):
     assert calls() <= 30
 
 
+def _rows(coeffs):
+    return len(coeffs)
+
+
 def test_tangency_curve_call_counts(count_calls):
     # the README range 0.05:1.65:0.05 as the CLI parses it; the first-lobe
     # scans, Brent seed and continued Newton took 63 scans, 486 g
-    # evaluations and 394 solve_g calls here
+    # evaluations and 394 solve_g calls here.  The points' secants run in
+    # lockstep, so the stacked root calls are bounded for the whole range
     evals = count_calls(GSolution, "eval")
     solves = count_calls(phasediagram, "solve_g")
-    roots = count_calls(phasediagram, "cubic_roots")
+    roots = count_calls(phasediagram, "_stacked_roots", weight=_rows)
+    stacked = count_calls(phasediagram, "_stacked_roots")
     points = tangency_curve(0.05 + 0.05 * np.arange(33))
     assert all(p.error is None for p in points)
     assert [p.t_star is None for p in points] == [True] + [False] * 32
     assert evals() == 0 and solves() == 0
     assert roots() <= 20 * 33
+    assert stacked() <= 20
 
 
 def test_tangency_curve_first_lobe_calls(count_calls):
     # halving kappa took 145 first-lobe scans and 477 solve_g calls here; each
     # closed-form first-lobe lookup is one cubic, 263 lookups on this range
-    lobes = count_calls(phasediagram, "_tangency_residual")
+    lobes = count_calls(phasediagram, "_tangency_residual", weight=lambda gw, k: len(k))
     solves = count_calls(phasediagram, "solve_g")
-    roots = count_calls(phasediagram, "cubic_roots")
+    roots = count_calls(phasediagram, "_stacked_roots", weight=_rows)
     tangency_curve(0.05 + 0.05 * np.arange(33))
     assert lobes() <= 10 * 33
     assert roots() == lobes()
@@ -206,7 +213,7 @@ def test_tangency_point_first_lobe_calls(count_calls, gamma_w):
     # halving kappa took 54-57 first-lobe scans here, the Brent seed 7-24;
     # the closed form solves one cubic per secant step and evaluates no g
     evals = count_calls(GSolution, "eval")
-    roots = count_calls(phasediagram, "cubic_roots")
+    roots = count_calls(phasediagram, "_stacked_roots", weight=_rows)
     tangency_point(gamma_w)
     assert evals() == 0
     assert roots() <= 20
@@ -258,7 +265,9 @@ def test_tangency_search_failure_is_no_convergence(monkeypatch, inside_only):
     ends, true = (k_hi / 1e4, k_hi), phasediagram._tangency_residual
 
     def patched(gamma_w, k):
-        return true(gamma_w, k) if inside_only and k in ends else (math.nan, 20.0)
+        f, t = true(gamma_w, k)
+        nan = ~np.isin(k, ends) if inside_only else np.full(k.shape, True)
+        return np.where(nan, math.nan, f), np.where(nan, 20.0, t)
 
     monkeypatch.setattr(phasediagram, "_tangency_residual", patched)
     with pytest.raises(NoConvergence, match="tangency residual") as info:
@@ -268,6 +277,30 @@ def test_tangency_search_failure_is_no_convergence(monkeypatch, inside_only):
     )
     point = tangency_curve([gw])[0]  # recorded in its row, not raised
     assert point.kappa is None and point.error.startswith("tangency residual")
+
+
+@pytest.mark.parametrize("inside_only", [False, True], ids=["nan", "nan_inside"])
+def test_tangency_curve_nan_at_one_point_leaves_the_others(monkeypatch, inside_only):
+    # the secants run in lockstep; a NaN residual at one gamma_w stops that
+    # point alone, with its NoConvergence, and no other point moves by a bit
+    gammas = 0.05 + 0.05 * np.arange(33)
+    clean = tangency_curve(gammas)
+    sick = float(gammas[9])
+    ends, true = (green_boundary(sick) / 1e4, green_boundary(sick)), phasediagram._tangency_residual
+
+    def patched(gamma_w, k):
+        f, t = true(gamma_w, k)
+        nan = (gamma_w == sick) & ~(np.isin(k, ends) & inside_only)
+        return np.where(nan, math.nan, f), t
+
+    monkeypatch.setattr(phasediagram, "_tangency_residual", patched)
+    points = tangency_curve(gammas)
+    assert points[9].kappa is None and points[9].t_star is None
+    assert points[9].error.startswith(
+        "tangency residual is NaN" if inside_only else "tangency residual nan at green/1e4"
+    )
+    assert points[:9] + points[10:] == clean[:9] + clean[10:]
+    assert clean[9].error is None
 
 
 def test_tangency_domain():
@@ -415,6 +448,32 @@ def test_sweep_records_errors_per_cell():
     assert math.isnan(cells[0].n_total)
     assert cells[1].region == REGION_MARKOV
     assert cells[1].error is None and cells[1].error_type is None
+
+
+def test_sweep_group_keeps_invalid_cells_apart():
+    # one solve group: the cells that fail validation, or whose cubic has a
+    # non-finite coefficient, keep the records solve_g's errors gave them one
+    # by one; the valid cells solved with them are the cells solved alone
+    gammas, kappas = [-1.0, 0.0, 0.5, 0.9], [-0.1, 0.2, math.inf, math.nan, 1e200, 0.0, 0.43]
+    cells = sweep(gammas, kappas, t_max=50.0)
+    errors = {
+        (-1.0, None): ("NonPositiveRate", "gamma_w must be > 0, got -1.0"),
+        (0.0, None): ("NonPositiveRate", "gamma_w must be > 0, got 0.0"),
+        (None, -0.1): ("NegativeCoupling", "kappa must be >= 0, got -0.1"),
+        (None, math.inf): ("LinAlgError", "Array must not contain infs or NaNs"),
+        (None, "nan"): ("NegativeCoupling", "kappa must be >= 0, got nan"),
+        (None, 1e200): ("OverflowError", "(34, 'Numerical result out of range')"),
+    }
+    for cell in cells:
+        key = "nan" if math.isnan(cell.kappa) else cell.kappa
+        error = errors.get((cell.gamma_w, None)) or errors.get((None, key))
+        if error:
+            assert (cell.region, cell.error_type, cell.error) == (REGION_ERROR, *error), cell
+            assert math.isnan(cell.n_total) and cell.t_first_divergence is None
+        else:
+            alone = sweep([cell.gamma_w], [cell.kappa], t_max=50.0)[0]
+            assert cell == alone == classify_point(cell.gamma_w, cell.kappa, t_max=50.0)
+    assert sum(c.region != REGION_ERROR for c in cells) == 6
 
 
 # the 31 x 21 sub-grid 0.02:3.0:0.1 x 0.005:0.6:0.03 of the README sweep box

@@ -67,10 +67,11 @@ codes = [
     nmgeo.cli.run(["boundaries", "--gamma-w-range", "0.05:3.0:0.05", "--out", sys.argv[3]]),
 ]
 cold = [m for m in heavy if m in sys.modules]
+pool = "concurrent.futures" in sys.modules
 kappa = nmgeo.tangency_point(0.5)[1]
 tangency = [m for m in heavy if m in sys.modules]
 nmgeo.g_ode_oracle(nmgeo.ModelParams(kappa=0.43, gamma_w=0.9), nmgeo.GridSpec(0.01, 2000))
-print(json.dumps({"codes": codes, "cold": cold, "tangency": tangency,
+print(json.dumps({"codes": codes, "cold": cold, "pool": pool, "tangency": tangency,
                   "loaded": [m for m in heavy if m in sys.modules], "kappa": kappa}))
 """
 
@@ -88,6 +89,8 @@ def test_cli_recipe_loads_no_scipy_submodule(tmp_path):
     assert report["codes"] == [0, 0]
     # the README gfun and boundaries recipes, then tangency_point, load none
     assert report["cold"] == []
+    # nor concurrent.futures, which only the QSD ensemble's worker pool uses
+    assert report["pool"] is False
     assert report["tangency"] == []
     # only the ODE oracle loads scipy.integrate (which brings its own imports)
     assert "scipy.integrate" in report["loaded"]
