@@ -15,16 +15,12 @@ from .dynamics import (
     QFI_CONVENTION,
     NonMarkovReport,
     OCoefficients,
-    density_matrix_at,
-    density_series_diagnostics,
     evolve_master_equation,
     expectations_sigma,
     f_ode_oracle,
-    f_w_closed_form,
     f_z_from_g,
     non_markovianity,
     qfi_series,
-    trace_distance,
 )
 from .errors import (
     ConfigError,

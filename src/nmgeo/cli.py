@@ -8,15 +8,13 @@ time; written even when the computation fails).  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 import time
-import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy
@@ -42,6 +40,11 @@ from .phasediagram import (
     tangency_curve,
 )
 from .qsd import ensemble_density
+
+# argparse, json and traceback are imported where the CLI parses, writes
+# and reports, so that importing nmgeo.cli loads none of them
+if TYPE_CHECKING:
+    import argparse
 
 SERIES_COLUMNS = [
     "t", "g", "gp", "Fz_re", "Fz_im", "beta_re", "beta_im",
@@ -144,6 +147,8 @@ def _json_pieces(value):
     at once stays small (the C encoder keeps one string per number until
     it joins them).
     """
+    import json
+
     if isinstance(value, dict):
         yield "{"
         for i, (key, item) in enumerate(value.items()):
@@ -206,6 +211,9 @@ def load_config(path: str, subcommand: str | None = None) -> dict:
     or unknown); each value must have the JSON type of its flag's argparse
     type and lie in its choices.
     """
+    import argparse
+    import json
+
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -299,6 +307,8 @@ class RunConfig:
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by run and load_config
     (parsing leaves it unchanged)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nmgeo",
         description="Qubit-in-lossy-cavity dynamics: g(t), phases, "
@@ -384,6 +394,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         )
     if cfg.subcommand == "qsd" and cfg.n_traj < 100:
         raise ConfigError("qsd needs --n-traj >= 100")
+    if cfg.subcommand == "qsd" and cfg.seed < 0:
+        raise ConfigError(f"qsd needs --seed >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -619,6 +631,8 @@ def run(argv=None) -> int:
         extras = {**extras, "error_type": type(exc).__name__}
         _write_manifest_file(cfg, _manifest(cfg, "error", wall, extras, str(exc)))
         if not isinstance(exc, NmgeoError):
+            import traceback
+
             traceback.print_exc()
         print(f"nmgeo: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -628,6 +642,8 @@ def run(argv=None) -> int:
 
 
 def _write_manifest_file(cfg: RunConfig, manifest: dict):
+    import json
+
     try:
         with open(cfg.out + ".manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, default=_json_default)

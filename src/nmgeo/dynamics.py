@@ -60,13 +60,6 @@ def f_z_from_g(sol: GSolution, grid: GridSpec) -> OCoefficients:
     )
 
 
-def f_w_closed_form(sol: GSolution, t) -> np.ndarray:
-    """F_w = -i (g'' + kappa^2 g) / (kappa g), the w-noise coefficient."""
-    kappa = sol.params.kappa
-    g, _, gpp = sol.eval(t)
-    return -1j * (gpp + kappa**2 * g) / (kappa * g)
-
-
 def f_ode_oracle(p: ModelParams, grid: GridSpec) -> OCoefficients:
     """F_z, F_w by direct integration (scipy's DOP853) of their coupled equations.
 
@@ -144,23 +137,6 @@ def evolve_master_equation(
     )
 
 
-def density_matrix_at(series: TimeSeries, k: int) -> DensityMatrix2:
-    return DensityMatrix2(
-        series["rho_ee"][k], series["rho_eg"][k], series["rho_ge"][k], series["rho_gg"][k]
-    )
-
-
-def density_series_diagnostics(series: TimeSeries) -> tuple[float, float]:
-    """(max |trace - 1|, min eigenvalue) across the series."""
-    ree = series["rho_ee"].real
-    rgg = series["rho_gg"].real
-    reg = series["rho_eg"]
-    tr_err = float(np.max(np.abs(ree + rgg - 1.0)))
-    mean = 0.5 * (ree + rgg)
-    rad = np.sqrt(0.25 * (ree - rgg) ** 2 + np.abs(reg) ** 2)
-    return tr_err, float(np.min(mean - rad))
-
-
 def expectations_sigma(series: TimeSeries) -> TimeSeries:
     """Pauli expectation channels sx, sy, sz of a density-matrix series."""
     reg = series["rho_eg"]
@@ -168,15 +144,6 @@ def expectations_sigma(series: TimeSeries) -> TimeSeries:
     sy = -2.0 * reg.imag
     sz = series["rho_ee"].real - series["rho_gg"].real
     return TimeSeries(series.grid, {"sx": sx, "sy": sy, "sz": sz})
-
-
-def trace_distance(rho1: DensityMatrix2, rho2: DensityMatrix2) -> float:
-    """Half the sum of absolute eigenvalues of rho1 - rho2."""
-    a = (rho1.rho_ee - rho2.rho_ee).real
-    d = (rho1.rho_gg - rho2.rho_gg).real
-    b = rho1.rho_eg - rho2.rho_eg
-    mean, rad = 0.5 * (a + d), math.sqrt(0.25 * (a - d) ** 2 + abs(b) ** 2)
-    return 0.5 * (abs(mean + rad) + abs(mean - rad))
 
 
 @dataclass(frozen=True)

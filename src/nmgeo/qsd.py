@@ -27,15 +27,18 @@ samples.  Trajectories therefore pass through the zeros of g, where F_z
 has poles, as smoothly as the state does.  For kappa = 0 both noise terms
 vanish.
 
-Reproducibility: trajectory i draws from default_rng([base_seed, i]), and
-ensemble reduction runs over fixed-size chunks in index order, so results
-are bitwise identical for any worker count.
+Reproducibility: trajectory i draws default_rng([base_seed, i])'s stream,
+and ensemble reduction runs over fixed-size chunks in index order, so
+results are bitwise identical for any worker count.  The streams' PCG64
+states are computed for a whole chunk at once, replaying numpy's seeding
+(stable by NEP 19), and one generator per chunk draws them in turn.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +48,7 @@ from .gfunction import GSolution, solve_g
 from .model import GridSpec, ModelParams, PureState2, TimeSeries, validate_params
 
 CHUNK = 128  # fixed reduction granularity; must not depend on worker count
+_BLOCK = 64  # time samples per time-major block in _draw: 128 KB for a chunk
 
 
 @dataclass(frozen=True)
@@ -76,35 +80,134 @@ def _check_grid(p: ModelParams, grid: GridSpec):
         )
 
 
-def _draw(p: ModelParams, grid: GridSpec, base_seed: int, indices) -> tuple:
-    """(zeta, w): zeta = -i conj(z) of shape (m,) and w_t of shape (m, n+1).
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 seeding, fixed by NEP 19
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # (initial constant, multiplier) of the entropy hash
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # the same for generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _words(n: int) -> list:
+    """The little-endian 32-bit words of n >= 0 (one word for 0)."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """Column of the count + 1 constants that count successive hashes step through."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hash(v, consts):
+    """SeedSequence's hash of the rows of v, row j xored with consts[j], times consts[j+1]."""
+    v = v ^ consts[:-1]
+    v *= consts[1:]
+    v ^= v >> 16
+    return v
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 arrays."""
+    r = x * _MIX_L
+    r -= y * _MIX_R
+    r ^= r >> 16
+    return r
+
+
+def _pcg64_states(base_seed: int, indices) -> list:
+    """(state, inc) of default_rng([base_seed, i]).bit_generator for each index i.
+
+    SeedSequence runs on uint32 arrays, once for all indices with the same
+    number of words, and PCG64's 128-bit seeding step on Python ints.
+    """
+    seed_words = _words(int(base_seed))
+    index_words = [_words(i) for i in indices]
+    states = [None] * len(index_words)
+    for size in set(map(len, index_words)):
+        rows = [r for r, w in enumerate(index_words) if len(w) == size]
+        n_words = len(seed_words) + size
+        entropy = np.zeros((max(n_words, 4), len(rows)), dtype=np.uint32)  # zeros fill the pool
+        entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+        entropy[len(seed_words) : n_words] = np.array([index_words[r] for r in rows]).T
+        consts = _hash_constants(*_HASH_A, 4 + 12 + 4 * max(n_words - 4, 0))
+        pool = _hash(entropy[:4], consts[:5])
+        at = 4
+        for src in range(4):  # hashes of one source word, one per other pool word
+            dst = [d for d in range(4) if d != src]
+            pool[dst] = _mix(pool[dst], _hash(pool[src], consts[at : at + 4]))
+            at += 3
+        for word in entropy[4:n_words]:
+            pool = _mix(pool, _hash(word, consts[at : at + 5]))
+            at += 4
+        out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(*_HASH_B, 8))
+        out = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << np.uint64(32)
+        for r, (u0, u1, u2, u3) in zip(rows, zip(*out.tolist())):  # generate_state(4, uint64)
+            initstate = u0 << 64 | u1
+            inc = (u2 << 65 | u3 << 1 | 1) & _MASK128
+            states[r] = (((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc)
+    return states
+
+
+def _check_seed(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _draw(p: ModelParams, grid: GridSpec, base_seed: int, indices, raw=None) -> tuple:
+    """(zeta, w_star): zeta = -i conj(z) of shape (m,) and w*_t of shape (m, n+1).
 
     Each trajectory draws its 4 + 2n standard normals in one call, read as
     the complex z, w_0 and the n OU increments in that order, so a
-    trajectory's noises do not depend on chunking.
+    trajectory's noises do not depend on chunking.  One generator serves
+    the chunk, given each trajectory's seeded state in turn.  Scaling and
+    the OU recursion run time-major, on contiguous copies of _BLOCK samples
+    of every trajectory, with the same complex multiply, divide and add per
+    sample as a row-major update; conj(z) and w*_t are written back over
+    the chunk's normals, so w_star is a view into them.  raw, when given, is
+    a float buffer of at least m rows of 4 + 2n, which the results then share.
     """
-    n = grid.n_steps
-    raw = np.empty((len(indices), 4 + 2 * n))
-    for row, idx in enumerate(indices):
-        np.random.default_rng([base_seed, idx]).standard_normal(out=raw[row])
+    n, m = grid.n_steps, len(indices)
+    raw = np.empty((m, 4 + 2 * n)) if raw is None else raw[:m]
+    bitgen = np.random.PCG64(0)  # seed replaced row by row
+    gen = np.random.Generator(bitgen)
+    for row, (state, inc) in enumerate(_pcg64_states(base_seed, indices)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=raw[row])
     var_st = 0.5 * p.gamma_w * p.Gamma_w
-    scale = np.full(n + 2, math.sqrt(var_st * (1.0 - math.exp(-2.0 * p.gamma_w * grid.dt))))
-    scale[:2] = 1.0, math.sqrt(var_st)
-    c = raw.view(complex)
-    c *= scale
-    c /= math.sqrt(2.0)
-    z, w = c[:, 0], c[:, 1:]
-    decay = np.exp(-(p.gamma_w + 1j * p.Omega_w) * grid.dt)
-    for k in range(n):  # exact OU update: w_{k+1} = w_k decay + increment
-        w[:, k + 1] += w[:, k] * decay
-    return -1j * np.conj(z), w
+    scale = np.full((n + 2, 1), math.sqrt(var_st * (1.0 - math.exp(-2.0 * p.gamma_w * grid.dt))))
+    scale[:2, 0] = 1.0, math.sqrt(var_st)
+    # a 0-d decay and positional outputs make the per-sample calls cheaper
+    decay = np.asarray(np.exp(-(p.gamma_w + 1j * p.Omega_w) * grid.dt))
+    c = raw.view(complex)  # columns z, w_0 and the n increments
+    block = np.empty((min(_BLOCK, n + 2), m), dtype=complex)
+    step, prev = np.empty(m, dtype=complex), None
+    for lo in range(0, n + 2, _BLOCK):
+        hi = min(lo + _BLOCK, n + 2)
+        rows = np.multiply(c[:, lo:hi].T, scale[lo:hi], out=block[: hi - lo])
+        rows /= math.sqrt(2.0)
+        for k, row in enumerate(rows, lo):
+            if k >= 2:  # exact OU update: w_{k-1} = w_{k-2} decay + increment
+                np.add(row, np.multiply(prev, decay, step), row)
+            prev = row
+        prev = rows[-1].copy()  # the block is refilled next
+        np.conj(rows.T, out=c[:, lo:hi])
+    return -1j * c[:, 0], c[:, 1:]
 
 
 def _noise_chunk(p: ModelParams, grid: GridSpec, base_seed: int, indices) -> tuple:
     """(z_star, w_star) arrays of shape (m, n+1) for the given trajectory indices."""
-    zeta, w = _draw(p, grid, base_seed, indices)
+    zeta, w_star = _draw(p, grid, base_seed, indices)
     z_star = zeta[:, None] * np.exp(1j * p.omega_c * grid.times())[None, :]
-    return z_star, np.conj(w)
+    return z_star, w_star
 
 
 def sample_noises(
@@ -113,7 +216,9 @@ def sample_noises(
     """Noises for one trajectory; see the module docstring for conventions."""
     validate_params(p)
     _check_grid(p, grid)
-    z_star, w_star = _noise_chunk(p, grid, base_seed, [traj_index])
+    _check_seed("base_seed", base_seed)
+    _check_seed("traj_index", traj_index)
+    z_star, w_star = _noise_chunk(p, grid, base_seed, [int(traj_index)])
     return NoiseRealization(z_star[0], w_star[0], base_seed, traj_index)
 
 
@@ -221,14 +326,21 @@ def ensemble_density(
     validate_params(p)
     if n_traj < 100:
         raise ValidationError(f"n_traj must be >= 100, got {n_traj}")
+    _check_seed("base_seed", base_seed)
     _check_grid(p, grid)
     ce, ground = _closed_form(p, grid, None, PureState2.from_bloch_angle(theta))
     z_phase = np.exp(1j * p.omega_c * grid.t0)
+    # each worker draws its chunks into one buffer: a fresh one per chunk can
+    # cost a page fault per 4 KB, depending on the allocator's state
+    buffers = threading.local()
 
     def run_chunk(chunk_index: int):
         lo = chunk_index * CHUNK
-        zeta, w = _draw(p, grid, base_seed, range(lo, min(lo + CHUNK, n_traj)))
-        cg = ground(zeta * z_phase, np.conj(w, out=w))
+        if not hasattr(buffers, "raw"):
+            buffers.raw = np.empty((CHUNK, 4 + 2 * grid.n_steps))
+        indices = range(lo, min(lo + CHUNK, n_traj))
+        zeta, w_star = _draw(p, grid, base_seed, indices, buffers.raw)
+        cg = ground(zeta * z_phase, w_star)
         a2 = np.abs(cg)
         a2 *= a2
         return cg.sum(axis=0), a2.sum(axis=0), np.einsum("mk,mk->k", a2, a2)

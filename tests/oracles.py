@@ -10,10 +10,14 @@ library's closed-form tangency; qfi_series_eigh takes the QFI
 from the eigendecomposition of the 2x2 density matrices, the reference for
 the library's Bloch-vector closed form.  critical_points_full_scan scans g and
 g'' over the whole window, the reference for the library's scan, which
-stops where one mode settles the signs.
+stops where one mode settles the signs.  f_w_closed_form, trace_distance,
+density_matrix_at and density_series_diagnostics are small closed forms
+only the tests read.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -105,6 +109,39 @@ def evolve_lindblad(p: ModelParams, rho0: DensityMatrix2, grid: GridSpec, f_z) -
         grid,
         {"rho_ee": sol.y[0], "rho_eg": reg, "rho_ge": np.conj(reg), "rho_gg": sol.y[3]},
     )
+
+
+def f_w_closed_form(sol: GSolution, t) -> np.ndarray:
+    """F_w = -i (g'' + kappa^2 g) / (kappa g), the w-noise coefficient."""
+    kappa = sol.params.kappa
+    g, _, gpp = sol.eval(t)
+    return -1j * (gpp + kappa**2 * g) / (kappa * g)
+
+
+def density_matrix_at(series: TimeSeries, k: int) -> DensityMatrix2:
+    return DensityMatrix2(
+        series["rho_ee"][k], series["rho_eg"][k], series["rho_ge"][k], series["rho_gg"][k]
+    )
+
+
+def density_series_diagnostics(series: TimeSeries) -> tuple[float, float]:
+    """(max |trace - 1|, min eigenvalue) across the series."""
+    ree = series["rho_ee"].real
+    rgg = series["rho_gg"].real
+    reg = series["rho_eg"]
+    tr_err = float(np.max(np.abs(ree + rgg - 1.0)))
+    mean = 0.5 * (ree + rgg)
+    rad = np.sqrt(0.25 * (ree - rgg) ** 2 + np.abs(reg) ** 2)
+    return tr_err, float(np.min(mean - rad))
+
+
+def trace_distance(rho1: DensityMatrix2, rho2: DensityMatrix2) -> float:
+    """Half the sum of absolute eigenvalues of rho1 - rho2."""
+    a = (rho1.rho_ee - rho2.rho_ee).real
+    d = (rho1.rho_gg - rho2.rho_gg).real
+    b = rho1.rho_eg - rho2.rho_eg
+    mean, rad = 0.5 * (a + d), math.sqrt(0.25 * (a - d) ** 2 + abs(b) ** 2)
+    return 0.5 * (abs(mean + rad) + abs(mean - rad))
 
 
 def _bisect_brackets(f, lo, hi) -> np.ndarray:

@@ -367,6 +367,15 @@ def test_qsd_byte_identical_and_within_band(tmp_path):
     assert manifest["seed"] == 7 and manifest["n_traj"] == 500
 
 
+def test_qsd_negative_seed_exit_2(tmp_path, capsys):
+    # it died inside numpy with a traceback and exit 1
+    out = tmp_path / "q.csv"
+    args = ["qsd", "--gamma-w", "0.9", "--kappa", "0.43", "--t-max", "1.0", "--n-traj", "100"]
+    assert run([*args, "--seed", "-1", "--out", str(out)]) == 2
+    assert "configuration error: qsd needs --seed >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "q.csv.manifest.json").exists()
+
+
 def test_sweep_csv_via_cli(tmp_path):
     out = tmp_path / "s.csv"
     code = run([

@@ -12,11 +12,9 @@ from nmgeo import (
     ModelParams,
     PureState2,
     classify_point,
-    density_series_diagnostics,
     evolve_master_equation,
     expectations_sigma,
     f_ode_oracle,
-    f_w_closed_form,
     f_z_from_g,
     find_g_roots,
     g_ode_oracle,
@@ -24,11 +22,18 @@ from nmgeo import (
     non_markovianity,
     qfi_series,
     solve_g,
-    trace_distance,
 )
 
 from conftest import EXCEPTION_POINT, MARKOV_POINT
-from oracles import evolve_lindblad, f_w_from_f_z, qfi_series_eigh
+from oracles import (
+    density_matrix_at,
+    density_series_diagnostics,
+    evolve_lindblad,
+    f_w_closed_form,
+    f_w_from_f_z,
+    qfi_series_eigh,
+    trace_distance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +300,6 @@ def test_optimal_pair_gives_abs_g(ref_params, ref_gsol):
     r1 = evolve_master_equation(ref_params, plus, grid, gsol=ref_gsol)
     r2 = evolve_master_equation(ref_params, minus, grid, gsol=ref_gsol)
     g = np.abs(ref_gsol.g(grid.times()))
-    from nmgeo.dynamics import density_matrix_at
-
     for k in range(grid.n_steps + 1):
         d = trace_distance(density_matrix_at(r1, k), density_matrix_at(r2, k))
         assert abs(d - g[k]) < 1e-8
@@ -305,8 +308,6 @@ def test_optimal_pair_gives_abs_g(ref_params, ref_gsol):
 def test_random_pairs_never_beat_optimal(ref_params, ref_gsol, rng):
     grid = GridSpec.uniform(20.0, 1.0)
     gabs = np.abs(ref_gsol.g(grid.times()))
-    from nmgeo.dynamics import density_matrix_at
-
     for _ in range(200):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)

@@ -96,3 +96,16 @@ def test_cli_recipe_loads_no_scipy_submodule(tmp_path):
     assert "scipy.integrate" in report["loaded"]
     # the value test_tangency_point_values_kept pins
     assert report["kappa"] == pytest.approx(0.27474639208486323, rel=1e-12, abs=0.0)
+
+
+def test_cli_import_loads_no_argparse_json_or_traceback():
+    # the CLI imports them where it parses, writes and reports
+    src = str(Path(nmgeo.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import nmgeo, nmgeo.cli; "
+        "print([m for m in ('argparse', 'json', 'traceback') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
