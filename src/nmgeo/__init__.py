@@ -40,14 +40,12 @@ from .errors import (
 from .gfunction import (
     GSolution,
     cubic_coefficients,
-    cubic_discriminant,
     cubic_roots,
     find_g_roots,
     g_markov_limit,
     g_markov_limit_deriv,
     g_ode_oracle,
     markov_root_times,
-    ode_state_matrix,
     solve_g,
 )
 from .geomphase import (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationFailure, ValidationError
-from .gfunction import GSolution, _critical_points, _total_rise, solve_g, solve_ivp
+from .gfunction import GSolution, _critical_points, _total_rises, solve_g, solve_ivp
 from .model import DensityMatrix2, GridSpec, ModelParams, TimeSeries, validate_params
 
 FROM_G = "from-g"
@@ -171,7 +171,6 @@ def non_markovianity(p: ModelParams, t_max: float, dt: float = 0.01) -> NonMarko
     g are integrable kinks rather than failures.  n_total and the windows
     come from the critical points of |g| and do not depend on dt.
     """
-    validate_params(p)
     sol = solve_g(p)
     _, crit, crit_abs_g = _critical_points([sol], t_max)[0]
     # intervals narrower than the zero refiner's 1e-12 tolerance are not resolved
@@ -183,7 +182,8 @@ def non_markovianity(p: ModelParams, t_max: float, dt: float = 0.01) -> NonMarko
     inc = np.maximum(np.diff(absg), 0.0)
     n_t = np.concatenate([[0.0], np.cumsum(inc)])
     series = TimeSeries(grid, {"g": g, "abs_g": absg, "N_t": n_t})
-    return NonMarkovReport(series=series, windows=windows, n_total=_total_rise(crit_abs_g))
+    n_total = float(_total_rises(crit_abs_g, np.zeros(crit.size, dtype=np.intp), 1)[0])
+    return NonMarkovReport(series=series, windows=windows, n_total=n_total)
 
 
 def _initial_family(theta: float, convention: str):

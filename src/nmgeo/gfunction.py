@@ -46,6 +46,8 @@ _DOMINANCE_SLACK = 1.01
 # after a chunk, so the next can fault in fresh pages: about 1,300-2,500
 # minor faults in a sweep of the 30 x 30 README sub-grid at t_max = 200)
 _SCAN_CHUNK = 2**12
+# most steps of a scan grid: node counts stay within int64 (a larger grid is refused)
+_MAX_SCAN_STEPS = 2.0**62
 
 
 def cubic_coefficients(p: ModelParams) -> np.ndarray:
@@ -66,14 +68,6 @@ def _cubic_rows(k2, gamma_w, Gamma_w) -> np.ndarray:
     rows[..., 2] = 4.0 * k2 + 2.0 * gamma_w * Gamma_w
     rows[..., 3] = 8.0 * k2 * gamma_w
     return rows
-
-
-def ode_state_matrix(p: ModelParams) -> np.ndarray:
-    """Matrix M of the first-order form d/dt (g, g', g'') = M (g, g', g'').
-
-    Its eigenvalues are x_i / 2 for the characteristic roots x_i.
-    """
-    return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], _ode_row(p)])
 
 
 def cubic_roots(p: ModelParams) -> np.ndarray:
@@ -153,20 +147,6 @@ def _companion_eigvals(c: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def cubic_discriminant(p: ModelParams) -> float:
-    """Discriminant-sign indicator of the characteristic cubic.
-
-    D <= 0 means three real roots; D > 0 one real root plus a conjugate
-    pair.  Only the sign is meaningful (overall constant fixed to 1).
-    """
-    validate_params(p)
-    gw, k2, Gw = p.gamma_w, p.kappa**2, p.Gamma_w
-    return float(
-        gw**2 * (36.0 * k2 - 9.0 * gw * Gw + 4.0 * gw**2) ** 2
-        - 2.0 * (-6.0 * k2 - 3.0 * gw * Gw + 2.0 * gw**2) ** 3
-    )
-
-
 @dataclass
 class GSolution:
     """Evaluatable representation of g, g', g''.
@@ -211,22 +191,6 @@ class GSolution:
     def g(self, t) -> np.ndarray:
         return self.eval(t)[0]
 
-    def scan_step(self) -> float:
-        """Root-scan step: 1/20 of the shortest characteristic time scale."""
-        p = self.params
-        scales = [1.0 / max(p.kappa, 1e-12)]
-        if self.method == MARKOV:
-            c2 = p.Gamma_w**2 - 16.0 * p.kappa**2
-            scales.append(4.0 / p.Gamma_w)
-            if c2 < 0.0:
-                scales.append(2.0 * math.pi * 4.0 / math.sqrt(-c2))
-        else:
-            scales.append(1.0 / p.gamma_w)
-            im = float(np.max(np.abs(self.roots.imag)))
-            if im > 0.0:
-                scales.append(2.0 * math.pi / im)
-        return min(scales) / 20.0
-
 
 def solve_g(p: ModelParams) -> GSolution:
     """Build the g(t) representation for resonant parameters.
@@ -253,9 +217,10 @@ def _solve_each(points: list[ModelParams]) -> list:
     cells, rows = [], []  # index and (kappa, kappa**2, gamma_w, Gamma_w) of each root sum
     for p in points:
         try:
-            validate_params(p)
-            if not p.is_markov_limit:
-                _check_cubic(p)
+            if p.is_markov_limit:
+                validate_params(p)
+            else:
+                _check_cubic(p)  # validates p first
                 # Python's float power, as cubic_coefficients squares (it
                 # raises OverflowError where kappa**2 overflows)
                 rows.append((p.kappa, p.kappa**2, p.gamma_w, p.Gamma_w))
@@ -575,11 +540,28 @@ def g_markov_limit_deriv(Gamma_w: float, kappa: float, t) -> np.ndarray:
     return solve_g(ModelParams(kappa=kappa, gamma_w=math.inf, Gamma_w=Gamma_w)).eval(t)[1]
 
 
-def _scan_intervals(sol: GSolution, t_max: float) -> int:
-    """Number of steps of the root-scan grid np.linspace(0, t_max, n + 1)."""
+def _scan_steps(sols: list[GSolution], t_max: float) -> np.ndarray:
+    """Steps n = ceil(t_max / step) of each cell's scan grid np.linspace(0, t_max, n + 1).
+
+    The step is 1/20 of the shortest time scale: 1/max(kappa, 1e-12), and
+    1/gamma_w and 2 pi/max|Im x| over the roots x of a root sum, or 4/Gamma_w
+    for a Markov bath, whose pair's period 8 pi/sqrt(16 kappa^2 - Gamma_w^2)
+    is longer than 2 pi/kappa.  n is a float: inf for a zero step.
+    """
     if not (t_max > 0.0):
         raise ValueError(f"t_max must be > 0, got {t_max}")
-    return int(math.ceil(t_max / sol.scan_step()))
+    p = np.reshape([(s.params.kappa, s.params.gamma_w, s.params.Gamma_w) for s in sols], (-1, 3))
+    roots = np.reshape([(0j,) * 3 if s.roots is None else s.roots for s in sols], (-1, 3))
+    im = np.max(np.abs(roots.imag), axis=1, initial=0.0)
+    with np.errstate(divide="ignore", over="ignore"):  # im = 0 does not oscillate
+        rate = np.where(np.isinf(p[:, 1]), 4.0 / p[:, 2], 1.0 / p[:, 1])
+        step = np.minimum(1.0 / np.maximum(p[:, 0], 1e-12), rate)
+        step = np.minimum(step, np.where(im > 0.0, 2.0 * math.pi / im, np.inf)) / 20.0
+        return np.ceil(t_max / step)
+
+
+def _grid_too_large(steps: float) -> OverflowError:
+    return OverflowError(f"scan grid of {steps:.6g} steps exceeds 2**62")
 
 
 def find_g_roots(sol: GSolution, t_max: float) -> list[float]:
@@ -591,24 +573,34 @@ def find_g_roots(sol: GSolution, t_max: float) -> list[float]:
     return _critical_points([sol], t_max)[0][0].tolist()
 
 
-def _total_rise(abs_g: np.ndarray) -> float:
-    """Sum of the rises of |g| between consecutive critical points: the exact N_total."""
-    # added in time order: np.sum pairs terms and would round differently
-    return float(np.cumsum(np.maximum(np.diff(abs_g), 0.0))[-1])
+def _total_rises(abs_g: np.ndarray, cell: np.ndarray, n_cells: int) -> np.ndarray:
+    """N_total of each cell: the rises of |g| between its consecutive critical
+    points, abs_g sorted by cell, then time, summed in time order as a running
+    sum does (np.bincount adds one weight after another; np.add.reduceat pairs
+    them and rounds differently)."""
+    same = cell[1:] == cell[:-1]
+    rises = np.maximum(np.diff(abs_g), 0.0)[same]
+    return np.bincount(cell[1:][same], weights=rises, minlength=n_cells)
 
 
 def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
-    """(zeros of g in (0, t_max], critical points of |g|, |g| at each) per cell.
+    """(zeros of g in (0, t_max], critical points of |g|, |g| at each) per cell:
+    _scan's columns, split per cell, for all cells in one stacked kernel."""
+    n = _scan_steps(sols, t_max)
+    for steps in n[~(n <= _MAX_SCAN_STEPS)].tolist():
+        raise _grid_too_large(steps)
+    cells, n = _ModalCells(sols), n.astype(np.intp)
+    zeros, zero_cell, crit, crit_cell, abs_g = _scan(cells, n, t_max, _scan_plan(cells, n, t_max))
+    ids = np.arange(1, len(sols))
+    zero_cut, crit_cut = np.searchsorted(zero_cell, ids), np.searchsorted(crit_cell, ids)
+    return list(zip(np.split(zeros, zero_cut), np.split(crit, crit_cut), np.split(abs_g, crit_cut)))
 
-    All cells are evaluated together by one stacked kernel, _ModalCells,
-    whatever their form; see _scan.
-    """
-    n = np.array([_scan_intervals(sol, t_max) for sol in sols])
-    return _scan(_ModalCells(sols), n, t_max)
 
-
-def _scan(cells: _ModalCells, n: np.ndarray, t_max: float) -> list[tuple]:
-    """_critical_points of the cells of a kernel, cell c on the grid of n[c] steps.
+def _scan(cells: _ModalCells, n: np.ndarray, t_max: float, plan) -> tuple[np.ndarray, ...]:
+    """Columns (zeros, zero_cell, crit, crit_cell, abs_g) of the cells of a kernel,
+    cell c on the grid of n[c] steps: the zeros of g in (0, t_max] and the
+    critical points of |g|, each sorted by cell, then time, with |g| at each.
+    plan is _scan_plan's for these cells.
 
     Each cell scans g and g'' on the nodes of its grid np.linspace(0,
     t_max, n + 1), in chunks of _SCAN_CHUNK samples, as far as _scan_plan
@@ -621,13 +613,12 @@ def _scan(cells: _ModalCells, n: np.ndarray, t_max: float) -> list[tuple]:
     of opposite sign is a zero itself.  g' is monotone between consecutive
     zeros of g'' (with 0 and t_max as the outer ends), so a second call
     refines its zeros bracketed there, which also catches lobes of g'
-    narrower than the scan step.  The critical points {0, zeros of g, zeros
-    of g', t_max} come sorted, and |g| is monotone between consecutive ones;
-    the zeros of g come sorted too.
+    narrower than the scan step.  The critical points are {0, zeros of g,
+    zeros of g', t_max}: |g| is monotone between consecutive ones.
     """
     n_cells = n.size
     ids = np.arange(n_cells)
-    end, k0, count, theta = _scan_plan(cells, n, t_max)
+    end, k0, count, theta = plan
 
     # the scanned nodes, one cell after another, sample k at (t(k), cell(k));
     # scanned in chunks whose temporaries stay in the cache
@@ -688,11 +679,7 @@ def _scan(cells: _ModalCells, n: np.ndarray, t_max: float) -> list[tuple]:
         [np.zeros(n_cells), zg, zp, ends[k1], np.full(n_cells, t_max)],
         [ids, zg_cell, end_cell[j], end_cell[k1], ids],
     )
-    abs_g = np.abs(cells.eval(crit, crit_cell)[0])
-    zg_cut, crit_cut = np.searchsorted(zg_cell, ids[1:]), np.searchsorted(crit_cell, ids[1:])
-    return list(
-        zip(np.split(zg, zg_cut), np.split(crit, crit_cut), np.split(abs_g, crit_cut))
-    )
+    return zg, zg_cell, crit, crit_cell, np.abs(cells.eval(crit, crit_cell)[0])
 
 
 def _scan_plan(cells: _ModalCells, n: np.ndarray, t_max: float):
@@ -726,12 +713,6 @@ def _scan_plan(cells: _ModalCells, n: np.ndarray, t_max: float):
     end = np.where(pair, past, end).astype(np.intp)
     count = np.where(pair & (end < n), np.maximum(count, 0.0), 0.0).astype(np.intp)
     return end, k0, count, theta
-
-
-def _scan_points(cells: _ModalCells, n: np.ndarray, t_max: float) -> np.ndarray:
-    """Points _scan holds per cell: its scanned nodes plus its phase brackets."""
-    end, _, count, _ = _scan_plan(cells, n, t_max)
-    return end.max(axis=0) + 1 + count.sum(axis=0)
 
 
 def _phase_brackets(cells: _ModalCells, n, k0, count, theta, t_max: float):

@@ -18,16 +18,17 @@ import numpy as np
 
 from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
-    _critical_points,
+    _MAX_SCAN_STEPS,
     _cubic_rows,
+    _grid_too_large,
     _ModalCells,
     _scan,
-    _scan_intervals,
-    _scan_points,
+    _scan_plan,
+    _scan_steps,
     _solve_each,
     _stacked_roots,
-    _total_rise,
-    solve_g,
+    _total_rises,
+    solve_g,  # noqa: F401, tests count its calls here: the tangency code makes none
 )
 from .model import ModelParams
 
@@ -247,102 +248,82 @@ def classify_point(gamma_w: float, kappa: float, t_max: float = 200.0) -> PhaseC
     """Classify one parameter point by g-roots and accumulated backflow.
 
     Roots in (0, t_max] => NM_DIV with the first root time; otherwise
-    N_total > N_THRESHOLD => NM_NODIV, else M.  This is sweep's code on a
-    one-cell block: one scan, and one Newton refine of the zeros it
-    brackets; see _classify for how roots and N_total are found.
+    N_total > N_THRESHOLD => NM_NODIV, else M.  This is sweep's code on one
+    cell, raising the error sweep would record: one scan, and one Newton
+    refine of the zeros it brackets; see _classify_cells.
     """
-    sol = solve_g(ModelParams(kappa=kappa, gamma_w=gamma_w))
-    return _record(gamma_w, kappa, *_classify(_critical_points([sol], t_max))[0])
+    point = [(gamma_w, kappa)]
+    columns = _classify_cells(point, t_max)
+    if columns[0][0] is not None:
+        raise columns[0][0]
+    return _records(point, *columns)[0]
 
 
 def sweep(gamma_values, kappa_values, t_max: float = 200.0) -> list[PhaseCell]:
     """Classify every (gamma_w, kappa) grid node, row-major in gamma then kappa.
 
-    Cells are solved _SOLVE_CELLS at a time, their cubics by one stacked
-    root solve (gfunction._solve_each), and classified together,
-    whatever form their g takes, in blocks of at most _BLOCK_POINTS points:
-    the scanned nodes plus the phase brackets of gfunction._scan (a larger
-    cell alone).  Each cell's record equals classify_point's.
-    Per-cell failures are recorded in the cell (region ERR), a failure of a
-    whole block in each of its cells, and never abort the sweep.
+    _classify_cells takes _SOLVE_CELLS cells at a time, and the records are
+    built from its columns; each equals classify_point's.  Errors are
+    recorded in their cells (region ERR) and never abort the sweep.
     """
     points = [(g, k) for g in gamma_values for k in kappa_values]
-    cells: list = [None] * len(points)
-    for a in range(0, len(points), _SOLVE_CELLS):
-        _sweep_cells(cells, points, range(a, min(a + _SOLVE_CELLS, len(points))), t_max)
-    return cells
+    groups = [points[a : a + _SOLVE_CELLS] for a in range(0, len(points), _SOLVE_CELLS)]
+    return [cell for group in groups for cell in _records(group, *_classify_cells(group, t_max))]
 
 
-def _sweep_cells(cells: list, points: list, indices, t_max: float):
-    """Solve the cells points[i], i in indices, together, and classify them block by block."""
-    index, sols, n = [], [], []
-    solved = _solve_each([ModelParams(kappa=points[i][1], gamma_w=points[i][0]) for i in indices])
-    for i, sol in zip(indices, solved):
-        try:
-            if isinstance(sol, Exception):
-                raise sol
-            n.append(_scan_intervals(sol, t_max))
-        except Exception as exc:  # recorded, not raised
-            cells[i] = _error_record(*points[i], exc)
-            continue
-        index.append(i)
-        sols.append(sol)
-    if not sols:
-        return
-    n = np.array(n)
-    try:
-        modal = _ModalCells(sols)
-        sizes = _scan_points(modal, n, t_max)
-    except Exception as exc:  # recorded in each cell, not raised
-        for i in index:
-            cells[i] = _error_record(*points[i], exc)
-        return
-    bounds, held = [0], 0
-    for j, size in enumerate(sizes):
-        if j > bounds[-1] and held + size > _BLOCK_POINTS:
-            bounds.append(j)
-            held = 0
-        held += size
-    bounds.append(len(sols))
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        _classify_into(cells, points, index[a:b], modal.take(np.arange(a, b)), n[a:b], t_max)
+def _classify_cells(points: list, t_max: float) -> tuple[np.ndarray, ...]:
+    """Columns (error, first zero of g in (0, t_max] or NaN, N_total) of the cells at points.
 
-
-def _classify_into(cells: list, points: list, index, modal: _ModalCells, n, t_max: float):
-    """Classify the cells of one block, points[index[c]] held by modal, into cells[index[c]]."""
-    try:
-        results = _classify(_scan(modal, n, t_max))
-    except Exception as exc:  # recorded in each cell of the block, not raised
-        for i in index:
-            cells[i] = _error_record(*points[i], exc)
-        return
-    for i, result in zip(index, results):
-        cells[i] = _record(*points[i], *result)
-
-
-def _record(gamma_w, kappa, t_first: float | None, n_total: float) -> PhaseCell:
-    if t_first is not None:
-        region = REGION_DIVERGENT
-    elif n_total > N_THRESHOLD:
-        region = REGION_NONDIVERGENT
-    else:
-        region = REGION_MARKOV
-    return PhaseCell(gamma_w, kappa, region, t_first, n_total)
-
-
-def _error_record(gamma_w, kappa, exc: Exception) -> PhaseCell:
-    return PhaseCell(
-        gamma_w, kappa, REGION_ERROR, None, math.nan, error=str(exc), error_type=type(exc).__name__
-    )
-
-
-def _classify(critical_points: list) -> list[tuple[float | None, float]]:
-    """(first zero of g in (0, t_max] or None, N_total) of each cell of _critical_points.
-
-    N_total is the sum of the rises of |g| between consecutive critical
-    points: exact, with no time grid.
+    One stacked root solve (gfunction._solve_each), then scans in blocks of
+    at most _BLOCK_POINTS points, gfunction._scan's nodes and phase brackets
+    (a larger cell alone).  An error is None, or that of the cell's solve,
+    of t_max, of a grid of more than _MAX_SCAN_STEPS steps, or of its whole
+    group or block.  N_total sums the rises of |g| between consecutive
+    critical points: exact, with no time grid.
     """
+    solved = _solve_each([ModelParams(kappa=k, gamma_w=g) for g, k in points])
+    errors = np.array([s if isinstance(s, Exception) else None for s in solved], dtype=object)
+    t_first, n_total = np.full(len(points), np.nan), np.full(len(points), np.nan)
+    live = np.flatnonzero([e is None for e in errors])
+    try:
+        n = _scan_steps([solved[c] for c in live], t_max)
+        fits = n <= _MAX_SCAN_STEPS
+        errors[live[~fits]] = [_grid_too_large(steps) for steps in n[~fits].tolist()]
+        live, n = live[fits], n[fits].astype(np.intp)
+        modal = _ModalCells([solved[c] for c in live])
+        plan = _scan_plan(modal, n, t_max)
+        end, _, count, _ = plan
+        # nodes plus phase brackets per cell, capped: a larger cell is alone in its block anyway
+        size = np.minimum(end.max(axis=0) + 1 + count.sum(axis=0), _BLOCK_POINTS + 1)
+    except Exception as exc:  # recorded in each cell left, not raised
+        errors[live] = exc
+        return errors, t_first, n_total
+    held, a = np.cumsum(size), 0
+    while a < live.size:  # a block: the cells within _BLOCK_POINTS points of a, at least one
+        b = max(a + 1, int(np.searchsorted(held, held[a] - size[a] + _BLOCK_POINTS, "right")))
+        block = live[a:b]
+        try:
+            cells = modal.take(np.arange(a, b))
+            z, z_cell, _, crit_cell, abs_g = _scan(cells, n[a:b], t_max, [p[:, a:b] for p in plan])
+        except Exception as exc:  # recorded in each cell of the block, not raised
+            errors[block] = exc
+        else:
+            k = np.searchsorted(z_cell, np.arange(b - a + 1))  # where each cell's zeros start
+            has = k[:-1] < k[1:]
+            t_first[block[has]] = z[k[:-1][has]]
+            n_total[block] = _total_rises(abs_g, crit_cell, b - a)
+        a = b
+    return errors, t_first, n_total
+
+
+def _records(points: list, errors, t_first, n_total) -> list[PhaseCell]:
+    """The PhaseCell of each cell of _classify_cells's columns: ERR with its error,
+    else NM_DIV at a first zero, NM_NODIV with N_total > N_THRESHOLD, or M."""
+    names = (REGION_MARKOV, REGION_NONDIVERGENT, REGION_DIVERGENT)
+    region = np.where(np.isnan(t_first), n_total > N_THRESHOLD, 2).tolist()
     return [
-        (float(zeros[0]) if zeros.size else None, _total_rise(abs_g))
-        for zeros, _, abs_g in critical_points
+        PhaseCell(g, k, names[r], t if r == 2 else None, n)
+        if e is None
+        else PhaseCell(g, k, REGION_ERROR, None, math.nan, str(e), type(e).__name__)
+        for (g, k), e, r, t, n in zip(points, errors, region, t_first.tolist(), n_total.tolist())
     ]

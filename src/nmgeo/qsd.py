@@ -243,7 +243,8 @@ def _closed_form(p: ModelParams, grid: GridSpec, gsol: GSolution | None, psi0: P
 
     def ground(z0, w_star):
         w_star *= v
-        cg = np.zeros_like(w_star)
+        cg = np.empty_like(w_star)
+        cg[:, 0] = 0.0
         np.add(w_star[:, 1:], w_star[:, :-1], out=cg[:, 1:])
         np.cumsum(cg[:, 1:], axis=1, out=cg[:, 1:])  # trapezoid sums of the w integral
         cg *= 0.5j * grid.dt

@@ -10,9 +10,13 @@ library's closed-form tangency; qfi_series_eigh takes the QFI
 from the eigendecomposition of the 2x2 density matrices, the reference for
 the library's Bloch-vector closed form.  critical_points_full_scan scans g and
 g'' over the whole window, the reference for the library's scan, which
-stops where one mode settles the signs.  f_w_closed_form, trace_distance,
-density_matrix_at and density_series_diagnostics are small closed forms
-only the tests read.
+stops where one mode settles the signs; _scan_intervals and _scan_step
+give its grids one cell at a time, the reference for the library's
+columnar _scan_steps, and _total_rise sums one cell's rises in time
+order, the reference for its segmented _total_rises.  f_w_closed_form,
+trace_distance, density_matrix_at, density_series_diagnostics,
+ode_state_matrix and cubic_discriminant are small closed forms only the
+tests read.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from nmgeo import (
     solve_g,
 )
 from nmgeo.dynamics import _initial_family
-from nmgeo.gfunction import _ModalCells, _scan_intervals, _sign_changes, _sorted_by_cell
+from nmgeo.gfunction import MARKOV, _ModalCells, _ode_row, _sign_changes, _sorted_by_cell
+from nmgeo.model import validate_params
 from nmgeo.phasediagram import _check_tangency_domain
 
 # first-lobe scan window and samples of _first_gp_maximum
@@ -261,6 +266,58 @@ def qfi_series_eigh(
     drho[:, 1, 0] = np.conj(drho[:, 0, 1])
     drho[:, 1, 1] = -drho[:, 0, 0]
     return _qfi_from_matrices(rho, drho)
+
+
+def ode_state_matrix(p: ModelParams) -> np.ndarray:
+    """Matrix M of the first-order form d/dt (g, g', g'') = M (g, g', g'').
+
+    Its eigenvalues are x_i / 2 for the characteristic roots x_i.
+    """
+    return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], _ode_row(p)])
+
+
+def cubic_discriminant(p: ModelParams) -> float:
+    """Discriminant-sign indicator of the characteristic cubic.
+
+    D <= 0 means three real roots; D > 0 one real root plus a conjugate
+    pair.  Only the sign is meaningful (overall constant fixed to 1).
+    """
+    validate_params(p)
+    gw, k2, Gw = p.gamma_w, p.kappa**2, p.Gamma_w
+    return float(
+        gw**2 * (36.0 * k2 - 9.0 * gw * Gw + 4.0 * gw**2) ** 2
+        - 2.0 * (-6.0 * k2 - 3.0 * gw * Gw + 2.0 * gw**2) ** 3
+    )
+
+
+def _scan_step(sol: GSolution) -> float:
+    """Root-scan step: 1/20 of the shortest characteristic time scale."""
+    p = sol.params
+    scales = [1.0 / max(p.kappa, 1e-12)]
+    if sol.method == MARKOV:
+        c2 = p.Gamma_w**2 - 16.0 * p.kappa**2
+        scales.append(4.0 / p.Gamma_w)
+        if c2 < 0.0:
+            scales.append(2.0 * math.pi * 4.0 / math.sqrt(-c2))
+    else:
+        scales.append(1.0 / p.gamma_w)
+        im = float(np.max(np.abs(sol.roots.imag)))
+        if im > 0.0:
+            scales.append(2.0 * math.pi / im)
+    return min(scales) / 20.0
+
+
+def _scan_intervals(sol: GSolution, t_max: float) -> int:
+    """Number of steps of the root-scan grid np.linspace(0, t_max, n + 1)."""
+    if not (t_max > 0.0):
+        raise ValueError(f"t_max must be > 0, got {t_max}")
+    return int(math.ceil(t_max / _scan_step(sol)))
+
+
+def _total_rise(abs_g: np.ndarray) -> float:
+    """Sum of the rises of |g| between consecutive critical points: the exact N_total."""
+    # added in time order: np.sum pairs terms and would round differently
+    return float(np.cumsum(np.maximum(np.diff(abs_g), 0.0))[-1])
 
 
 def critical_points_full_scan(sols: list[GSolution], t_max: float) -> list[tuple]:

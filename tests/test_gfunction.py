@@ -10,14 +10,12 @@ from nmgeo import (
     ModelParams,
     NotResonant,
     cubic_coefficients,
-    cubic_discriminant,
     cubic_roots,
     find_g_roots,
     g_markov_limit,
     g_markov_limit_deriv,
     g_ode_oracle,
     markov_root_times,
-    ode_state_matrix,
     solve_g,
 )
 from nmgeo.dynamics import non_markovianity
@@ -26,13 +24,14 @@ from nmgeo.gfunction import (
     ROOT_SUM,
     _critical_points,
     _ModalCells,
-    _scan_intervals,
     _scan_plan,
+    _scan_steps,
     _sign_changes,
     _stacked_roots,
 )
 from nmgeo.phasediagram import (
     GREEN_BLUE_JOIN,
+    _classify_cells,
     blue_boundary,
     classify_point,
     green_boundary,
@@ -40,7 +39,15 @@ from nmgeo.phasediagram import (
 )
 
 from conftest import EXCEPTION_POINT, MARKOV_POINT, REF_POINT
-from oracles import _bisect_brackets, critical_points_full_scan
+from oracles import (
+    _bisect_brackets,
+    _scan_intervals,
+    _scan_step,
+    _total_rise,
+    critical_points_full_scan,
+    cubic_discriminant,
+    ode_state_matrix,
+)
 
 JOIN_KAPPA = 3.0 * math.sqrt(3.0) / 16.0
 
@@ -119,6 +126,24 @@ def test_stacked_roots_bitwise_equal_to_np_roots_reference():
     assert roots.shape == (650, 3)
     for p, x in zip(points, roots):
         assert x.tobytes() == _np_roots_polished(p).tobytes(), p
+
+
+@pytest.mark.parametrize("t_max", [0.7, 20.0, 200.0, 1000.0])
+def test_scan_steps_bitwise_equal_to_scalar_reference(t_max):
+    # the 650 points above (50 at kappa = 0), Markov baths with and without
+    # an oscillating pair, and confluent cells, in one call
+    points = _reference_points()
+    points += [
+        ModelParams(kappa=k, gamma_w=math.inf, Gamma_w=gw)
+        for k in (0.0, 1e-13, 0.1, 0.25, 0.26, 0.5, 3.0)
+        for gw in (0.3, 1.0, 2.0)
+    ]
+    points += [ModelParams(kappa=blue_boundary(gw), gamma_w=gw) for gw in (1.8, 2.1, 2.4, 2.9)]
+    points += [ModelParams(kappa=JOIN_KAPPA, gamma_w=GREEN_BLUE_JOIN)]
+    points += [ModelParams(kappa=1e-9, gamma_w=2.0)]
+    sols = [solve_g(p) for p in points]
+    assert sum(sol.confluent for sol in sols) >= 25
+    assert _scan_steps(sols, t_max).tolist() == [_scan_intervals(sol, t_max) for sol in sols]
 
 
 def test_cubic_requires_resonance():
@@ -492,7 +517,7 @@ def test_no_roots_at_markov_point():
 
 def test_root_count_stable_at_4x_scan_density(ref_gsol):
     roots = find_g_roots(ref_gsol, 20.0)
-    step = ref_gsol.scan_step() / 4.0
+    step = _scan_step(ref_gsol) / 4.0
     ts = np.arange(0.0, 20.0 + step, step)
     g = ref_gsol.g(ts)
     dense_count = int(np.count_nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0))
@@ -542,7 +567,7 @@ def test_batched_bisection_matches_scalar_reference(order):
     counts = []
     for point in points:
         sol = solve_g(ModelParams(**point))
-        ts = np.linspace(0.0, 200.0, int(math.ceil(200.0 / sol.scan_step())) + 1)
+        ts = np.linspace(0.0, 200.0, int(math.ceil(200.0 / _scan_step(sol))) + 1)
         values = sol.eval(ts)[order]
         flips, _ = _sign_changes(values, np.zeros(ts.size, dtype=np.intp))
         sign = np.sign(values)
@@ -567,7 +592,7 @@ def test_newton_brackets_match_bisection_reference():
     count = 0
     for gw, k in points:
         sol = solve_g(ModelParams(kappa=float(k), gamma_w=float(gw)))
-        ts = np.linspace(0.0, 200.0, int(math.ceil(200.0 / sol.scan_step())) + 1)
+        ts = np.linspace(0.0, 200.0, int(math.ceil(200.0 / _scan_step(sol))) + 1)
         values = sol.eval(ts)
         for order in (0, 1, 2):
             i, _ = _sign_changes(values[order], np.zeros(ts.size, dtype=np.intp))
@@ -657,8 +682,21 @@ def test_cut_scan_equals_full_scan_with_the_cut_next_to_t_max():
     for sol, t, p in zip(sols, settle, pair):
         if not 1.0 < t < 500.0:
             continue
-        step = sol.scan_step()
+        step = _scan_step(sol)
         for t_max in (t * (1.0 - 1e-9), t * (1.0 + 1e-9), t - step, t + step, t + 3.0 * step):
             assert _differing_cells([sol], t_max) == [], t_max
         checked[bool(p)] += 1
     assert min(checked) >= 10
+
+
+@pytest.mark.parametrize("t_max", [20.0, 200.0, 1000.0])
+def test_classified_columns_equal_per_cell_reference(t_max):
+    # the sweep's columns against each cell's critical points: N_total
+    # bitwise the running sum of its rises, and its first zero of g
+    errors, t_first, n_total = _classify_cells(HAND_PICKED, t_max)
+    assert errors.tolist() == [None] * len(HAND_PICKED)
+    sols = _solutions(HAND_PICKED)
+    per_cell = _critical_points(sols, t_max)
+    for sol, (zeros, _, abs_g), t, total in zip(sols, per_cell, t_first, n_total):
+        assert total.hex() == _total_rise(abs_g).hex(), sol.params
+        assert t == zeros[0] if zeros.size else math.isnan(t), sol.params

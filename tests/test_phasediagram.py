@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -17,7 +18,6 @@ from nmgeo import (
     OutOfDomain,
     blue_boundary,
     classify_point,
-    cubic_discriminant,
     find_g_roots,
     g_ode_oracle,
     green_boundary,
@@ -28,15 +28,18 @@ from nmgeo import (
     tangency_curve,
     tangency_point,
 )
-from nmgeo import phasediagram
-from nmgeo.gfunction import GSolution, _ModalCells, _scan_intervals, _sign_changes
+from nmgeo import gfunction, phasediagram
+from nmgeo.gfunction import GSolution, _critical_points, _ModalCells, _sign_changes
 
 from oracles import (
     _N_SCAN,
     _T_SCAN,
     _bisect_brackets,
     _first_gp_maximum,
+    _scan_intervals,
+    _total_rise,
     critical_points_full_scan,
+    cubic_discriminant,
     tangency_point_bisected,
 )
 
@@ -476,6 +479,53 @@ def test_sweep_group_keeps_invalid_cells_apart():
     assert sum(c.region != REGION_ERROR for c in cells) == 6
 
 
+@pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan])
+def test_sweep_records_bad_t_max_in_each_solvable_cell(t_max):
+    # every cell that solves records the t_max error; the others keep their solve errors
+    cells = sweep([-1.0, 0.9, math.inf], [0.1, -0.1, 1e200], t_max=t_max)
+    bad_t_max = ("ValueError", f"t_max must be > 0, got {t_max}")
+    errors = {
+        -1.0: [("NonPositiveRate", "gamma_w must be > 0, got -1.0")] * 3,
+        0.9: [
+            bad_t_max,
+            ("NegativeCoupling", "kappa must be >= 0, got -0.1"),
+            ("OverflowError", "(34, 'Numerical result out of range')"),
+        ],
+        math.inf: [bad_t_max, ("NegativeCoupling", "kappa must be >= 0, got -0.1"), bad_t_max],
+    }
+    expect = [error for g in (-1.0, 0.9, math.inf) for error in errors[g]]
+    got = [(c.region, c.error_type, c.error) for c in cells]
+    assert got == [(REGION_ERROR, *e) for e in expect]
+    assert all(math.isnan(c.n_total) and c.t_first_divergence is None for c in cells)
+    for cell in cells:
+        with pytest.raises(Exception, match=re.escape(cell.error)) as raised:
+            classify_point(cell.gamma_w, cell.kappa, t_max=t_max)
+        assert type(raised.value).__name__ == cell.error_type
+
+
+def test_sweep_refuses_too_large_scan_grid_in_its_own_cell():
+    # kappa >= 1e16 asks for more than 2**62 scan steps, refused before
+    # anything is allocated; the cell solved with them is classified as alone
+    cells = sweep([0.5], [0.3, 1e16, 1e20, 1e150], t_max=200.0)
+    assert cells[0] == classify_point(0.5, 0.3, t_max=200.0)
+    assert (cells[0].region, cells[0].n_total) == (REGION_NONDIVERGENT, 0.028707616177929034)
+    for cell, steps in zip(cells[1:], ("4e+19", "4e+23", "4e+153")):
+        error = f"scan grid of {steps} steps exceeds 2**62"
+        assert (cell.region, cell.error_type, cell.error) == (REGION_ERROR, "OverflowError", error)
+        assert math.isnan(cell.n_total) and cell.t_first_divergence is None
+        with pytest.raises(OverflowError, match=re.escape(error)):
+            classify_point(0.5, cell.kappa, t_max=200.0)
+        with pytest.raises(OverflowError, match=re.escape(error)):
+            find_g_roots(solve_g(ModelParams(kappa=cell.kappa, gamma_w=0.5)), 200.0)
+
+
+def test_sweep_validates_each_cell_once(count_calls):
+    # the benchmark's 10 x 10 sub-grid; solving validated each point twice
+    validations = count_calls(gfunction, "validate_params")
+    sweep(0.02 + 0.3 * np.arange(10), 0.005 + 0.06 * np.arange(10), t_max=200.0)
+    assert 0 < validations() <= 100
+
+
 # the 31 x 21 sub-grid 0.02:3.0:0.1 x 0.005:0.6:0.03 of the README sweep box
 README_GAMMAS = 0.02 + 0.1 * np.arange(31)
 README_KAPPAS = 0.005 + 0.03 * np.arange(21)
@@ -527,6 +577,22 @@ def test_sweep_readme_subgrid_regions_pinned(readme_sweep):
 
 def test_sweep_memory_is_bounded_by_blocks(readme_sweep):
     assert readme_sweep[1] < 16e6
+
+
+def test_sweep_columns_equal_per_cell_reference(readme_sweep):
+    # N_total is a segmented sum that adds each cell's rises in time order:
+    # bitwise the running sum of one cell (np.add.reduceat, which pairs the
+    # terms, differs in 226 of these 651 cells), also for cells with many
+    # critical points; the first zero is the cell's first
+    cells, _ = readme_sweep
+    points = [(float(g), float(k)) for g in README_GAMMAS for k in README_KAPPAS]
+    sols = [solve_g(ModelParams(kappa=k, gamma_w=g)) for g, k in points]
+    per_cell = _critical_points(sols, 200.0)
+    assert sum(crit.size >= 10 for _, crit, _ in per_cell) > 300
+    assert max(crit.size for _, crit, _ in per_cell) >= 90
+    for cell, (zeros, _, abs_g) in zip(cells, per_cell):
+        assert cell.n_total.hex() == _total_rise(abs_g).hex(), cell
+        assert cell.t_first_divergence == (float(zeros[0]) if zeros.size else None), cell
 
 
 def test_sweep_cells_equal_classify_point_alone(readme_sweep):

@@ -25,6 +25,37 @@ def test_no_top_level_name_defined_twice():
     assert MODULES and not dupes, dupes
 
 
+def _runs_on_import(tree: ast.Module):
+    """The nodes of a module evaluated when it is imported: all but the bodies
+    of its functions (their decorators and default values run)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack += getattr(node, "decorator_list", []) + node.args.defaults
+            stack += [d for d in node.args.kw_defaults if d is not None]
+        else:
+            stack += ast.iter_child_nodes(node)
+
+
+def _root_name(node: ast.expr) -> str | None:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_module_level_numpy_call():
+    # importing nmgeo does no numpy work: every fresh interpreter pays it
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in _runs_on_import(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _root_name(node.func) in ("np", "numpy")
+    ]
+    assert MODULES and not calls, calls
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
