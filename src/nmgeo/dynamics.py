@@ -172,7 +172,7 @@ def non_markovianity(p: ModelParams, t_max: float, dt: float = 0.01) -> NonMarko
     come from the critical points of |g| and do not depend on dt.
     """
     sol = solve_g(p)
-    _, crit, crit_abs_g = _critical_points([sol], t_max)[0]
+    _, crit, crit_abs_g = _critical_points(sol._cells, t_max)[0]
     # intervals narrower than the zero refiner's 1e-12 tolerance are not resolved
     rises = np.nonzero((np.diff(crit_abs_g) > 0.0) & (np.diff(crit) >= 1e-12))[0]
     windows = [(float(crit[i]), float(crit[i + 1])) for i in rises]
@@ -212,7 +212,6 @@ def qfi_series(
     convention: str = QFI_CONVENTION,
     *,
     gsol: GSolution | None = None,
-    derivative: str = "analytic",
 ) -> np.ndarray:
     """QFI of the evolved family rho(t; theta) at each grid time.
 
@@ -225,20 +224,9 @@ def qfi_series(
     = 4 g^2 (rho_ee(0) (1 - rho_ee(0) g^2) - rho_eg(0)^2).  So omega does not
     enter.  The mixed term is kept where 2 det rho > 1e-12; elsewhere the
     state is pure (g = +-1, a zero of g, or a pole angle) and F = |dr|^2.
-    The theta-derivatives of rho_ee(0) and rho_eg(0) are analytic by default;
-    derivative="fd" takes central differences with step 1e-5 (rho is linear
-    in both, so this differences rho itself).
     """
     validate_params(p)
     ree0, reg0, dee0, deg0 = _initial_family(theta, convention)
-    if derivative == "fd":
-        h = 1e-5
-        plus = _initial_family(theta + h, convention)
-        minus = _initial_family(theta - h, convention)
-        dee0 = (plus[0] - minus[0]) / (2.0 * h)
-        deg0 = (plus[1] - minus[1]) / (2.0 * h)
-    elif derivative != "analytic":
-        raise ValidationError(f"unknown derivative mode {derivative!r}")
     sol = gsol if gsol is not None else solve_g(p)
     g = sol.g(grid.times())
     g2 = g * g

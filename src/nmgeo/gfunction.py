@@ -22,7 +22,6 @@ import bisect
 import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +47,9 @@ _DOMINANCE_SLACK = 1.01
 _SCAN_CHUNK = 2**12
 # most steps of a scan grid: node counts stay within int64 (a larger grid is refused)
 _MAX_SCAN_STEPS = 2.0**62
+# points (scanned grid nodes and phase brackets) one block of scanned cells
+# holds; bounds a sweep's memory
+_BLOCK_POINTS = 2**15
 
 
 def cubic_coefficients(p: ModelParams) -> np.ndarray:
@@ -149,18 +151,33 @@ def _companion_eigvals(c: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GSolution:
-    """Evaluatable representation of g, g', g''.
+    """Evaluatable representation of g, g', g'': one cell of the modal kernel
+    _solve_each builds.
 
     method is ROOT_SUM (characteristic roots and mode weights of the cubic)
     or MARKOV (gamma_w = inf, the memory-less two-mode equation).  Either is
     evaluated by _ModalCells, which keeps the root sum where its weights are
-    small and switches to the confluent form near repeated roots.
+    small and switches to the confluent form near repeated roots.  roots and
+    weights are read from the kernel, None for a Markov bath.
     """
 
     params: ModelParams
     method: str
-    roots: np.ndarray | None = None
-    weights: np.ndarray | None = None
+    _cells: _ModalCells
+
+    @property
+    def roots(self) -> np.ndarray | None:
+        return None if self.method == MARKOV else self._cells.roots[:, 0]
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        return None if self.method == MARKOV else self._cells.weights[:, 0]
+
+    @property
+    def confluent(self) -> bool:
+        """True where _ModalCells takes the confluent form: a Markov bath, or a
+        root sum with a weight above _ROOT_SUM_MAX_WEIGHT (or not finite)."""
+        return bool(self._cells._confluent[0])
 
     def eval(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(g, g', g'') at times t (scalar or array), as arrays shaped like t.
@@ -175,18 +192,8 @@ class GSolution:
             g, gp, gpp = self.eval(np.where(at_inf, 0.0, t))
             g[at_inf], gp[at_inf], gpp[at_inf] = self.params.kappa == 0.0, 0.0, 0.0
             return g, gp, gpp
-        g, gp, gpp = self._modal.eval(t.ravel())
+        g, gp, gpp = self._cells.eval(t.ravel())
         return g.reshape(t.shape), gp.reshape(t.shape), gpp.reshape(t.shape)
-
-    @cached_property
-    def _modal(self) -> _ModalCells:
-        return _ModalCells([self])
-
-    @cached_property
-    def confluent(self) -> bool:
-        """True where _ModalCells takes the confluent form: a Markov bath, or a
-        root sum with a weight above _ROOT_SUM_MAX_WEIGHT (or not finite)."""
-        return bool(self._modal._confluent[0])
 
     def g(self, t) -> np.ndarray:
         return self.eval(t)[0]
@@ -200,59 +207,61 @@ def solve_g(p: ModelParams) -> GSolution:
     that blow up at a repeated root are not used: _ModalCells evaluates
     such a cell in the confluent form.
     """
-    sol = _solve_each([p])[0]
-    if isinstance(sol, Exception):
-        raise sol
-    return sol
+    errors, cells = _solve_each([p])
+    if errors[0] is not None:
+        raise errors[0]
+    return GSolution(p, MARKOV if p.is_markov_limit else ROOT_SUM, cells)
 
 
-def _solve_each(points: list[ModelParams]) -> list:
-    """solve_g at each point, or the exception it raises there.
+def _solve_each(points: list[ModelParams]) -> tuple[list, _ModalCells]:
+    """(errors, cells): each point's error, None or the exception solve_g
+    raises there, and one _ModalCells of the points solved, in their order.
 
     The root sums' cubics are solved together by _stacked_roots and their
     weights computed together, elementwise.  A cubic with a non-finite
-    coefficient is refused by np.linalg.eigvals, on its own.
+    coefficient is refused by np.linalg.eigvals.  The stacked arithmetic
+    warns of nothing: a cell whose values overflow gets inf or NaN columns
+    of its own, and the scan refuses it (_scan_blocks).
     """
-    out: list = []
-    cells, rows = [], []  # index and (kappa, kappa**2, gamma_w, Gamma_w) of each root sum
-    for p in points:
-        try:
-            if p.is_markov_limit:
-                validate_params(p)
-            else:
-                _check_cubic(p)  # validates p first
-                # Python's float power, as cubic_coefficients squares (it
-                # raises OverflowError where kappa**2 overflows)
-                rows.append((p.kappa, p.kappa**2, p.gamma_w, p.Gamma_w))
-                cells.append(len(out))
-        except Exception as exc:  # the point's result: solve_g raises it there
-            out.append(exc)
-            continue
-        out.append(GSolution(params=p, method=MARKOV) if p.is_markov_limit else None)
-    if not cells:
-        return out
-    kappa, k2, gw, Gw = np.array(rows).T[:, :, None]
-    coeffs = _cubic_rows(k2[:, 0], gw[:, 0], Gw[:, 0])
-    finite = np.isfinite(coeffs).all(axis=1)
-    if not finite.all():
-        for c in np.nonzero(~finite)[0]:
+    errors: list = []
+    rows = []  # (kappa, kappa**2, gamma_w, Gamma_w) of each point solved
+    with np.errstate(all="ignore"):
+        for p in points:
             try:
-                _stacked_roots(coeffs[c : c + 1])
-            except np.linalg.LinAlgError as exc:
-                out[cells[c]] = exc
-        cells = [cells[c] for c in np.nonzero(finite)[0]]
-        coeffs, kappa, k2, gw, Gw = (a[finite] for a in (coeffs, kappa, k2, gw, Gw))
-    roots = _stacked_roots(coeffs)
-    shared, square = 2.0 * gw * Gw, roots**2
-    num = shared + 2.0 * roots * gw + square
-    den = 4.0 * k2 + shared + 4.0 * roots * gw + 3.0 * square
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = num / den
-    # g = 1 at kappa = 0: all weight on the exact root 0, none left to rounding
-    weights = np.where(kappa == 0.0, roots == 0.0, weights)
-    for c, x, w in zip(cells, roots, weights):
-        out[c] = GSolution(params=points[c], method=ROOT_SUM, roots=x, weights=w)
-    return out
+                if p.is_markov_limit:
+                    validate_params(p)
+                    k2 = np.float64(p.kappa) ** 2  # libm's pow too, but inf past overflow
+                else:
+                    _check_cubic(p)  # validates p first
+                    # Python's float power, as cubic_coefficients squares (it
+                    # raises OverflowError where kappa**2 overflows)
+                    k2 = p.kappa**2
+            except Exception as exc:  # the point's result: solve_g raises it there
+                errors.append(exc)
+                continue
+            errors.append(None)
+            rows.append((p.kappa, k2, p.gamma_w, p.Gamma_w))
+        kappa, k2, gw, Gw = np.array(rows, dtype=float).reshape(-1, 4).T
+        coeffs = _cubic_rows(k2, gw, Gw)  # a Markov bath's row is not used
+        refused = ~np.isinf(gw) & ~np.isfinite(coeffs).all(axis=1)
+        if refused.any():
+            try:
+                _stacked_roots(coeffs[refused])
+            except np.linalg.LinAlgError as exc:  # each refused cubic's error
+                for c in np.flatnonzero([e is None for e in errors])[refused]:
+                    errors[c] = exc
+            kappa, k2, gw, Gw, coeffs = (a[~refused] for a in (kappa, k2, gw, Gw, coeffs))
+        # a Markov bath's roots, and so its weights, are NaN: _ModalCells takes it confluent
+        roots = np.full((kappa.size, 3), math.nan, dtype=complex)
+        sums = ~np.isinf(gw)
+        if sums.any():
+            roots[sums] = _stacked_roots(coeffs[sums])
+        shared, square = 2.0 * gw[:, None] * Gw[:, None], roots**2
+        num = shared + 2.0 * roots * gw[:, None] + square
+        den = 4.0 * k2[:, None] + shared + 4.0 * roots * gw[:, None] + 3.0 * square
+        # g = 1 at kappa = 0: all weight on the exact root 0, none left to rounding
+        weights = np.where((kappa == 0.0)[:, None] & sums[:, None], roots == 0.0, num / den)
+        return errors, _ModalCells(kappa, k2, gw, Gw, roots, weights)
 
 
 class _ModalCells:
@@ -268,23 +277,23 @@ class _ModalCells:
     and g'' share each form's basis functions and differ only in their
     weights; each cell's ODE row gives g''' for the Newton slopes of refine.
     Every value is computed elementwise, so a cell's values do not depend on
-    the cells held with it.
+    the cells held with it.  Every array it holds has the cell last; it is
+    built from kappa, k2 = kappa**2 (Python's float power), gamma_w (inf for
+    a Markov bath), Gamma_w and rows of roots and mode weights (NaN there).
     """
 
-    def __init__(self, sols: list[GSolution]):
+    def __init__(self, kappa, k2, gamma_w, Gamma_w, roots, weights):
+        self.kappa, self.gamma_w, self.Gamma_w = kappa, gamma_w, Gamma_w
+        self.roots, self.weights = roots.T, weights.T
         # rows: r0, r1, r2, b, then the weights of w0, A, B, w2 for g, g', g''
-        self._params = np.zeros((16, len(sols)))
-        self._ode = np.array([_ode_row(sol.params) for sol in sols]).T
-        self._newton = np.zeros((13, len(sols)))
-        none = (math.nan,) * 3  # a Markov bath: confluent
-        roots = np.array([none if s.roots is None else s.roots for s in sols], dtype=complex)
-        weights = np.array([none if s.weights is None else s.weights for s in sols], dtype=complex)
-        roots, weights = roots.reshape(-1, 3), weights.reshape(-1, 3)
+        self._params = np.zeros((16, kappa.size))
+        self._ode = ode = _ode_rows(k2, gamma_w, Gamma_w)
+        self._newton = np.zeros((13, kappa.size))
         self._confluent = ~np.all(np.abs(weights) <= _ROOT_SUM_MAX_WEIGHT, axis=1)
         self._any_confluent = bool(self._confluent.any())
-        for c in np.nonzero(self._confluent)[0]:
-            self._newton[:, c] = _confluent_rows(sols[c])
-        sep = np.nonzero(~self._confluent)[0]
+        for c in np.flatnonzero(self._confluent):
+            self._newton[:, c] = _confluent_rows(k2[c], gamma_w[c], Gamma_w[c], roots[c], ode[:, c])
+        sep = np.flatnonzero(~self._confluent)
         half, weights = roots[sep] / 2.0, weights[sep]
         # weights of exp(x t/2) in g, g' and g'': derivative order, cell, mode x
         w = np.array([weights, weights * half, weights * half**2])
@@ -306,10 +315,9 @@ class _ModalCells:
     def take(self, cells: np.ndarray) -> _ModalCells:
         """The kernel of the cells with the indices cells alone."""
         sub = copy.copy(self)
-        sub._params, sub._ode, sub._newton = (
-            a.take(cells, axis=1) for a in (self._params, self._ode, self._newton)
-        )
-        sub._confluent = self._confluent[cells]
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(sub, name, value.take(cells, axis=-1))
         sub._any_confluent = bool(sub._confluent.any())
         return sub
 
@@ -443,7 +451,7 @@ class _ModalCells:
         return out[0], out[1], out[2]
 
 
-def _confluent_rows(sol: GSolution) -> list[float]:
+def _confluent_rows(k2, gamma_w, Gamma_w, roots, ode) -> list[float]:
     """alpha, sigma, r0, delta and the weights c0, c1, c2 of g, g', g'' in the confluent form
 
         g = c0 e^{alpha t} C + c1 e^{alpha t} S
@@ -458,42 +466,44 @@ def _confluent_rows(sol: GSolution) -> list[float]:
     weights of g^(m), y_m, y_{m+1} - alpha y_m and y_{m+2} - 2 alpha y_{m+1}
     + (alpha^2 - sigma) y_m from g^(n)(0) = y_n, are finite whatever the
     gaps.  A Markov bath is the pair of g'' + Gamma_w g'/2 + kappa^2 g = 0:
-    alpha = -Gamma_w/4, sigma = (Gamma_w^2 - 16 kappa^2)/16, c2 = 0.
+    alpha = -Gamma_w/4, sigma = (Gamma_w^2 - 16 kappa^2)/16, c2 = 0.  From
+    one cell's _ModalCells columns, numpy floats: inf or NaN past overflow.
     """
-    p = sol.params
-    gw, Gw, k2 = p.gamma_w, p.Gamma_w, p.kappa**2
+    markov = np.isinf(gamma_w)
     y = [1.0, 0.0, -k2]
     for _ in range(2):
-        y.append(_third_derivative(*y[-3:], _ode_row(p)))
-    if sol.method == MARKOV:
-        alpha = r0 = -Gw / 4.0
-        sigma = (Gw**2 - 16.0 * k2) / 16.0
+        y.append(_third_derivative(*y[-3:], ode))
+    if markov:
+        alpha = r0 = -Gamma_w / 4.0
+        sigma = (Gamma_w**2 - 16.0 * k2) / 16.0
     else:
-        real = np.sort(sol.roots[sol.roots.imag == 0.0].real / 2.0)
+        real = np.sort(roots[roots.imag == 0.0].real / 2.0)
         r0 = real[0] if real.size == 1 or real[1] - real[0] > real[2] - real[1] else real[2]
         # (r - r0)(r^2 - 2 alpha r + b0) matches the cubic in r^3, r^2 and r
-        alpha = -(gw + r0) / 2.0
-        b0 = k2 + 0.5 * gw * Gw - 2.0 * alpha * r0
+        alpha = -(gamma_w + r0) / 2.0
+        b0 = k2 + 0.5 * gamma_w * Gamma_w - 2.0 * alpha * r0
         sigma = alpha**2 - b0
     weights = np.zeros((3, 3))  # basis function, derivative order
     for m in range(3):
         weights[:2, m] = y[m], y[m + 1] - alpha * y[m]
-        if sol.method != MARKOV:
+        if not markov:
             weights[2, m] = y[m + 2] - 2.0 * alpha * y[m + 1] + b0 * y[m]
     return [alpha, sigma, r0, r0 - alpha, *weights.ravel()]
 
 
-def _ode_row(p: ModelParams) -> tuple[float, float, float]:
-    """(c0, c1, c2) with g''' = c0 g + c1 g' + c2 g'': the third-order equation,
-    or for a Markov bath the derivative of g'' = -Gamma_w g'/2 - kappa^2 g."""
-    k2 = p.kappa**2
-    if p.is_markov_limit:
-        return 0.0, -k2, -0.5 * p.Gamma_w
-    return -p.gamma_w * k2, -0.5 * (p.gamma_w * p.Gamma_w + 2.0 * k2), -p.gamma_w
+def _ode_rows(k2, gamma_w, Gamma_w) -> np.ndarray:
+    """Rows (c0, c1, c2) with g''' = c0 g + c1 g' + c2 g'' at k2 = kappa**2, gamma_w
+    and Gamma_w (columns, or one point's floats): the third-order equation, or
+    for a Markov bath the derivative of g'' = -Gamma_w g'/2 - kappa^2 g."""
+    return np.where(
+        np.isinf(gamma_w),
+        [0.0 * Gamma_w, -k2, -0.5 * Gamma_w],
+        [-gamma_w * k2, -0.5 * (gamma_w * Gamma_w + 2.0 * k2), -gamma_w],
+    )
 
 
 def _third_derivative(g, gp, gpp, row):
-    """g''' from (g, g', g'') by the ODE row (c0, c1, c2) of _ode_row."""
+    """g''' from (g, g', g'') by the ODE row (c0, c1, c2) of _ode_rows."""
     c0, c1, c2 = row
     return c2 * gpp + c1 * gp + c0 * g
 
@@ -511,7 +521,7 @@ def g_ode_oracle(p: ModelParams, grid: GridSpec) -> TimeSeries:
     validate_params(p)
     if not p.resonant():
         raise NotResonant("the third-order g equation holds at resonance only")
-    ts, row = grid.times(), _ode_row(p)
+    ts, row = grid.times(), _ode_rows(p.kappa**2, p.gamma_w, p.Gamma_w)
     sol = solve_ivp(
         lambda t, y: [y[1], y[2], _third_derivative(*y, row)],
         (ts[0], ts[-1]),
@@ -540,7 +550,7 @@ def g_markov_limit_deriv(Gamma_w: float, kappa: float, t) -> np.ndarray:
     return solve_g(ModelParams(kappa=kappa, gamma_w=math.inf, Gamma_w=Gamma_w)).eval(t)[1]
 
 
-def _scan_steps(sols: list[GSolution], t_max: float) -> np.ndarray:
+def _scan_steps(cells: _ModalCells, t_max: float) -> np.ndarray:
     """Steps n = ceil(t_max / step) of each cell's scan grid np.linspace(0, t_max, n + 1).
 
     The step is 1/20 of the shortest time scale: 1/max(kappa, 1e-12), and
@@ -550,27 +560,21 @@ def _scan_steps(sols: list[GSolution], t_max: float) -> np.ndarray:
     """
     if not (t_max > 0.0):
         raise ValueError(f"t_max must be > 0, got {t_max}")
-    p = np.reshape([(s.params.kappa, s.params.gamma_w, s.params.Gamma_w) for s in sols], (-1, 3))
-    roots = np.reshape([(0j,) * 3 if s.roots is None else s.roots for s in sols], (-1, 3))
-    im = np.max(np.abs(roots.imag), axis=1, initial=0.0)
+    im = np.max(np.abs(cells.roots.imag), axis=0, initial=0.0)  # NaN for a Markov bath
     with np.errstate(divide="ignore", over="ignore"):  # im = 0 does not oscillate
-        rate = np.where(np.isinf(p[:, 1]), 4.0 / p[:, 2], 1.0 / p[:, 1])
-        step = np.minimum(1.0 / np.maximum(p[:, 0], 1e-12), rate)
+        rate = np.where(np.isinf(cells.gamma_w), 4.0 / cells.Gamma_w, 1.0 / cells.gamma_w)
+        step = np.minimum(1.0 / np.maximum(cells.kappa, 1e-12), rate)
         step = np.minimum(step, np.where(im > 0.0, 2.0 * math.pi / im, np.inf)) / 20.0
         return np.ceil(t_max / step)
-
-
-def _grid_too_large(steps: float) -> OverflowError:
-    return OverflowError(f"scan grid of {steps:.6g} steps exceeds 2**62")
 
 
 def find_g_roots(sol: GSolution, t_max: float) -> list[float]:
     """Times of sign changes of g in (0, t_max], refined by _ModalCells.refine.
 
     Tangential touches (no sign change) are not reported; an empty list is
-    a valid result.  See _critical_points for the scan.
+    a valid result.  See _scan for the scan.
     """
-    return _critical_points([sol], t_max)[0][0].tolist()
+    return _critical_points(sol._cells, t_max)[0][0].tolist()
 
 
 def _total_rises(abs_g: np.ndarray, cell: np.ndarray, n_cells: int) -> np.ndarray:
@@ -583,17 +587,52 @@ def _total_rises(abs_g: np.ndarray, cell: np.ndarray, n_cells: int) -> np.ndarra
     return np.bincount(cell[1:][same], weights=rises, minlength=n_cells)
 
 
-def _critical_points(sols: list[GSolution], t_max: float) -> list[tuple]:
-    """(zeros of g in (0, t_max], critical points of |g|, |g| at each) per cell:
-    _scan's columns, split per cell, for all cells in one stacked kernel."""
-    n = _scan_steps(sols, t_max)
-    for steps in n[~(n <= _MAX_SCAN_STEPS)].tolist():
-        raise _grid_too_large(steps)
-    cells, n = _ModalCells(sols), n.astype(np.intp)
-    zeros, zero_cell, crit, crit_cell, abs_g = _scan(cells, n, t_max, _scan_plan(cells, n, t_max))
-    ids = np.arange(1, len(sols))
-    zero_cut, crit_cut = np.searchsorted(zero_cell, ids), np.searchsorted(crit_cell, ids)
-    return list(zip(np.split(zeros, zero_cut), np.split(crit, crit_cut), np.split(abs_g, crit_cut)))
+def _critical_points(cells: _ModalCells, t_max: float) -> list[tuple]:
+    """(zeros of g in (0, t_max], critical points of |g|, |g| at each) per cell of
+    a kernel, split from _scan_blocks's columns; raises the first cell's error."""
+    out: list = []
+    for ids, columns in _scan_blocks(cells, t_max):
+        if isinstance(columns, Exception):
+            raise columns
+        zeros, zero_cell, crit, crit_cell, abs_g = columns
+        cut = np.arange(1, ids.size)
+        zero_cut, crit_cut = np.searchsorted(zero_cell, cut), np.searchsorted(crit_cell, cut)
+        out += zip(np.split(zeros, zero_cut), np.split(crit, crit_cut), np.split(abs_g, crit_cut))
+    return out
+
+
+def _scan_blocks(cells: _ModalCells, t_max: float):
+    """Yield (ids, columns) over a kernel: ids the indices of cells scanned
+    together, columns _scan's for them, or the exception they failed with.
+
+    A cell whose grid has more than _MAX_SCAN_STEPS steps is refused alone.
+    The others get one _scan_plan and are scanned in blocks of at most
+    _BLOCK_POINTS points, _scan's nodes and phase brackets (a larger cell
+    alone).  An error of t_max or of the plan is every cell's left.
+    """
+    live = np.arange(cells.kappa.size)
+    try:
+        n = _scan_steps(cells, t_max)
+        fits = n <= _MAX_SCAN_STEPS
+        for c in np.flatnonzero(~fits):
+            yield live[c : c + 1], OverflowError(f"scan grid of {n[c]:.6g} steps exceeds 2**62")
+        live, n, cells = live[fits], n[fits].astype(np.intp), cells.take(live[fits])
+        plan = _scan_plan(cells, n, t_max)
+        end, _, count, _ = plan
+        # nodes plus phase brackets per cell, capped: a larger cell is alone in its block anyway
+        size = np.minimum(end.max(axis=0) + 1 + count.sum(axis=0), _BLOCK_POINTS + 1)
+    except Exception as exc:  # the error of each cell left
+        yield live, exc
+        return
+    held, a = np.cumsum(size), 0
+    while a < live.size:  # a block: the cells within _BLOCK_POINTS points of a, at least one
+        b = max(a + 1, int(np.searchsorted(held, held[a] - size[a] + _BLOCK_POINTS, "right")))
+        try:
+            columns = _scan(cells.take(np.arange(a, b)), n[a:b], t_max, [p[:, a:b] for p in plan])
+        except Exception as exc:  # the error of each cell of the block
+            columns = exc
+        yield live[a:b], columns
+        a = b
 
 
 def _scan(cells: _ModalCells, n: np.ndarray, t_max: float, plan) -> tuple[np.ndarray, ...]:

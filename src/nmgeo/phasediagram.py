@@ -18,13 +18,8 @@ import numpy as np
 
 from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
-    _MAX_SCAN_STEPS,
     _cubic_rows,
-    _grid_too_large,
-    _ModalCells,
-    _scan,
-    _scan_plan,
-    _scan_steps,
+    _scan_blocks,
     _solve_each,
     _stacked_roots,
     _total_rises,
@@ -41,11 +36,8 @@ REGION_ERROR = "ERR"
 
 N_THRESHOLD = 1e-6
 
-# points (scanned grid nodes and phase brackets) one block of sweep cells
-# holds; bounds the sweep's memory
-_BLOCK_POINTS = 2**15
 # cells the sweep solves before classifying them; bounds the memory their
-# solutions hold (about 1 kB each)
+# kernel holds (377 bytes a cell)
 _SOLVE_CELLS = 2**12
 
 
@@ -274,45 +266,25 @@ def sweep(gamma_values, kappa_values, t_max: float = 200.0) -> list[PhaseCell]:
 def _classify_cells(points: list, t_max: float) -> tuple[np.ndarray, ...]:
     """Columns (error, first zero of g in (0, t_max] or NaN, N_total) of the cells at points.
 
-    One stacked root solve (gfunction._solve_each), then scans in blocks of
-    at most _BLOCK_POINTS points, gfunction._scan's nodes and phase brackets
-    (a larger cell alone).  An error is None, or that of the cell's solve,
-    of t_max, of a grid of more than _MAX_SCAN_STEPS steps, or of its whole
-    group or block.  N_total sums the rises of |g| between consecutive
-    critical points: exact, with no time grid.
+    One stacked solve (gfunction._solve_each) gives the kernel that
+    gfunction._scan_blocks scans; an error is that of either.  N_total sums
+    the rises of |g| between consecutive critical points: exact, with no
+    time grid.
     """
-    solved = _solve_each([ModelParams(kappa=k, gamma_w=g) for g, k in points])
-    errors = np.array([s if isinstance(s, Exception) else None for s in solved], dtype=object)
+    errors, cells = _solve_each([ModelParams(kappa=k, gamma_w=g) for g, k in points])
+    solved = np.flatnonzero([e is None for e in errors])
+    errors = np.array(errors, dtype=object)
     t_first, n_total = np.full(len(points), np.nan), np.full(len(points), np.nan)
-    live = np.flatnonzero([e is None for e in errors])
-    try:
-        n = _scan_steps([solved[c] for c in live], t_max)
-        fits = n <= _MAX_SCAN_STEPS
-        errors[live[~fits]] = [_grid_too_large(steps) for steps in n[~fits].tolist()]
-        live, n = live[fits], n[fits].astype(np.intp)
-        modal = _ModalCells([solved[c] for c in live])
-        plan = _scan_plan(modal, n, t_max)
-        end, _, count, _ = plan
-        # nodes plus phase brackets per cell, capped: a larger cell is alone in its block anyway
-        size = np.minimum(end.max(axis=0) + 1 + count.sum(axis=0), _BLOCK_POINTS + 1)
-    except Exception as exc:  # recorded in each cell left, not raised
-        errors[live] = exc
-        return errors, t_first, n_total
-    held, a = np.cumsum(size), 0
-    while a < live.size:  # a block: the cells within _BLOCK_POINTS points of a, at least one
-        b = max(a + 1, int(np.searchsorted(held, held[a] - size[a] + _BLOCK_POINTS, "right")))
-        block = live[a:b]
-        try:
-            cells = modal.take(np.arange(a, b))
-            z, z_cell, _, crit_cell, abs_g = _scan(cells, n[a:b], t_max, [p[:, a:b] for p in plan])
-        except Exception as exc:  # recorded in each cell of the block, not raised
-            errors[block] = exc
-        else:
-            k = np.searchsorted(z_cell, np.arange(b - a + 1))  # where each cell's zeros start
-            has = k[:-1] < k[1:]
-            t_first[block[has]] = z[k[:-1][has]]
-            n_total[block] = _total_rises(abs_g, crit_cell, b - a)
-        a = b
+    for ids, columns in _scan_blocks(cells, t_max):
+        block = solved[ids]
+        if isinstance(columns, Exception):  # recorded in each cell of the block, not raised
+            errors[block] = columns
+            continue
+        z, z_cell, _, crit_cell, abs_g = columns
+        k = np.searchsorted(z_cell, np.arange(block.size + 1))  # where each cell's zeros start
+        has = k[:-1] < k[1:]
+        t_first[block[has]] = z[k[:-1][has]]
+        n_total[block] = _total_rises(abs_g, crit_cell, block.size)
     return errors, t_first, n_total
 
 

@@ -295,8 +295,8 @@ class EnsembleResult:
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else NMGEO_THREADS (0 or unset = 1).
 
-    The chunks are GIL-bound numpy work, so one worker is the fastest
-    default; more workers give the same results bitwise.
+    More workers shorten the wall time a little and add CPU time (README);
+    they give the same results bitwise.
     """
     if workers is None:
         env = os.environ.get("NMGEO_THREADS", "0")

@@ -8,9 +8,11 @@ _first_gp_maximum scans for the first lobe of g', and
 tangency_point_bisected halves kappa on its sign, the reference for the
 library's closed-form tangency; qfi_series_eigh takes the QFI
 from the eigendecomposition of the 2x2 density matrices, the reference for
-the library's Bloch-vector closed form.  critical_points_full_scan scans g and
-g'' over the whole window, the reference for the library's scan, which
-stops where one mode settles the signs; _scan_intervals and _scan_step
+the library's Bloch-vector closed form, also with initial_family_fd's
+central differences in place of the analytic theta-derivatives.
+critical_points_full_scan scans g and g'' over the whole window, the
+reference for the library's scan, which stops where one mode settles the
+signs, on the kernel kernel_of builds; _scan_intervals and _scan_step
 give its grids one cell at a time, the reference for the library's
 columnar _scan_steps, and _total_rise sums one cell's rises in time
 order, the reference for its segmented _total_rises.  f_w_closed_form,
@@ -40,7 +42,7 @@ from nmgeo import (
     solve_g,
 )
 from nmgeo.dynamics import _initial_family
-from nmgeo.gfunction import MARKOV, _ModalCells, _ode_row, _sign_changes, _sorted_by_cell
+from nmgeo.gfunction import MARKOV, _ode_rows, _sign_changes, _solve_each, _sorted_by_cell
 from nmgeo.model import validate_params
 from nmgeo.phasediagram import _check_tangency_domain
 
@@ -189,7 +191,7 @@ def _first_gp_maximum(gamma_w: float, kappa: float):
     if flips.size < 2:
         return None
     i = flips[1:2]
-    t = sol._modal.refine(ts[i], ts[i + 1], 0, 2)
+    t = sol._cells.refine(ts[i], ts[i + 1], 0, 2)
     return float(t[0]), float(sol.eval(t)[1][0])
 
 
@@ -245,16 +247,19 @@ def qfi_series_eigh(
     convention: str = QFI_CONVENTION,
     *,
     gsol: GSolution,
+    family: tuple | None = None,
 ) -> np.ndarray:
     """QFI of the evolved family rho(t; theta) from the eigenpairs of each sample.
 
-    rho and its analytic theta-derivative are built as (n,2,2) complex
-    stacks in the lab frame, phase e^{-i omega t} included.
+    rho and its theta-derivative are built as (n,2,2) complex stacks in the
+    lab frame, phase e^{-i omega t} included, from family, (rho_ee(0),
+    rho_eg(0)) and their theta-derivatives: the library's analytic
+    _initial_family by default, or initial_family_fd's.
     """
     ts = grid.times()
     g = gsol.g(ts)
     phase = np.exp(-1j * p.omega * ts)
-    ree0, reg0, dee0, deg0 = _initial_family(theta, convention)
+    ree0, reg0, dee0, deg0 = family or _initial_family(theta, convention)
     rho = np.empty((ts.size, 2, 2), dtype=complex)
     rho[:, 0, 0] = ree0 * g**2
     rho[:, 0, 1] = reg0 * phase * g
@@ -268,12 +273,26 @@ def qfi_series_eigh(
     return _qfi_from_matrices(rho, drho)
 
 
+def initial_family_fd(theta: float, convention: str, h: float = 1e-5) -> tuple:
+    """_initial_family with the theta-derivatives of rho_ee(0) and rho_eg(0) by
+    central differences of step h (rho is linear in both, so this differences
+    rho itself)."""
+    plus, minus = _initial_family(theta + h, convention), _initial_family(theta - h, convention)
+    ree0, reg0 = _initial_family(theta, convention)[:2]
+    return ree0, reg0, (plus[0] - minus[0]) / (2.0 * h), (plus[1] - minus[1]) / (2.0 * h)
+
+
+def kernel_of(sols: list[GSolution]):
+    """The one _ModalCells of the solutions' points, as _solve_each builds it for a sweep."""
+    return _solve_each([sol.params for sol in sols])[1]
+
+
 def ode_state_matrix(p: ModelParams) -> np.ndarray:
     """Matrix M of the first-order form d/dt (g, g', g'') = M (g, g', g'').
 
     Its eigenvalues are x_i / 2 for the characteristic roots x_i.
     """
-    return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], _ode_row(p)])
+    return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], _ode_rows(p.kappa**2, p.gamma_w, p.Gamma_w)])
 
 
 def cubic_discriminant(p: ModelParams) -> float:
@@ -331,7 +350,7 @@ def critical_points_full_scan(sols: list[GSolution], t_max: float) -> list[tuple
     (with 0 and t_max as the outer ends), so a second call refines its
     zeros bracketed there.
     """
-    cells = _ModalCells(sols)
+    cells = kernel_of(sols)
     n_cells = len(sols)
     ids = np.arange(n_cells)
     n = np.array([_scan_intervals(sol, t_max) for sol in sols])

@@ -31,6 +31,7 @@ from oracles import (
     evolve_lindblad,
     f_w_closed_form,
     f_w_from_f_z,
+    initial_family_fd,
     qfi_series_eigh,
     trace_distance,
 )
@@ -408,8 +409,9 @@ def test_qfi_bloch_convention_initial_value(ref_params):
 
 def test_qfi_analytic_vs_finite_difference(ref_params, ref_gsol):
     grid = GridSpec.uniform(10.0, 0.05)
-    fa = qfi_series(ref_params, 0.7, grid, gsol=ref_gsol, derivative="analytic")
-    fd = qfi_series(ref_params, 0.7, grid, gsol=ref_gsol, derivative="fd")
+    fa = qfi_series(ref_params, 0.7, grid, gsol=ref_gsol)
+    family = initial_family_fd(0.7, QFI_CONVENTION)
+    fd = qfi_series_eigh(ref_params, 0.7, grid, gsol=ref_gsol, family=family)
     mask = fa > 1e-3
     assert np.max(np.abs(fa[mask] - fd[mask]) / fa[mask]) < 1e-4
 

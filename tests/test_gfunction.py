@@ -19,9 +19,11 @@ from nmgeo import (
     solve_g,
 )
 from nmgeo.dynamics import non_markovianity
+from nmgeo.geomphase import geometric_phase
 from nmgeo.gfunction import (
     MARKOV,
     ROOT_SUM,
+    GSolution,
     _critical_points,
     _ModalCells,
     _scan_plan,
@@ -46,6 +48,7 @@ from oracles import (
     _total_rise,
     critical_points_full_scan,
     cubic_discriminant,
+    kernel_of,
     ode_state_matrix,
 )
 
@@ -143,7 +146,7 @@ def test_scan_steps_bitwise_equal_to_scalar_reference(t_max):
     points += [ModelParams(kappa=1e-9, gamma_w=2.0)]
     sols = [solve_g(p) for p in points]
     assert sum(sol.confluent for sol in sols) >= 25
-    assert _scan_steps(sols, t_max).tolist() == [_scan_intervals(sol, t_max) for sol in sols]
+    assert _scan_steps(kernel_of(sols), t_max).tolist() == [_scan_intervals(sol, t_max) for sol in sols]
 
 
 def test_cubic_requires_resonance():
@@ -229,7 +232,7 @@ def test_no_critical_point_next_to_t0():
         for gw, k in zip(rng.uniform(0.02, 3.0, 300), rng.uniform(0.005, 0.6, 300))
     ]
     sols = [sol for sol in sols if sol.method == ROOT_SUM]
-    for sol, (_, crit, _) in zip(sols, _critical_points(sols, 200.0)):
+    for sol, (_, crit, _) in zip(sols, _critical_points(kernel_of(sols), 200.0)):
         assert crit[0] == 0.0
         assert not np.any((crit > 0.0) & (crit < 1e-9)), sol.params
 
@@ -285,6 +288,30 @@ def test_eval_does_not_depend_on_batch(ref_gsol):
     for k in range(t.size):
         single = ref_gsol.eval(t[k])
         assert all(b[k] == s[0] for b, s in zip(batch, single)), t[k]
+
+
+def _roots_then_eval(p):
+    sol = solve_g(p)
+    return find_g_roots(sol, 20.0), sol.eval(np.linspace(0.0, 20.0, 201))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: non_markovianity(p, 20.0, 0.01),
+        lambda p: geometric_phase(p, 0.7, GridSpec.uniform(20.0, 0.01)),
+        _roots_then_eval,
+    ],
+    ids=["non_markovianity", "geometric_phase", "find_g_roots-eval"],
+)
+@pytest.mark.parametrize("point", [REF_POINT, dict(kappa=0.3, gamma_w=math.inf)])
+def test_one_solution_builds_one_kernel(count_calls, run, point):
+    # the kernel solve_g builds serves the scan and every evaluation; the
+    # first eval built a second one
+    kernels = count_calls(_ModalCells, "__init__")
+    solutions = count_calls(GSolution, "__init__")
+    run(ModelParams(**point))
+    assert (kernels(), solutions()) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -596,7 +623,7 @@ def test_newton_brackets_match_bisection_reference():
         values = sol.eval(ts)
         for order in (0, 1, 2):
             i, _ = _sign_changes(values[order], np.zeros(ts.size, dtype=np.intp))
-            newton = sol._modal.refine(ts[i], ts[i + 1], 0, order)
+            newton = sol._cells.refine(ts[i], ts[i + 1], 0, order)
             expect = _bisect_brackets(lambda t, j: sol.eval(t)[order], ts[i], ts[i + 1])
             assert np.all(np.abs(newton - expect) <= 1e-12 * np.maximum(1.0, expect)), (gw, k)
             count += i.size
@@ -617,7 +644,7 @@ def _solutions(points):
 
 def _differing_cells(sols, t_max):
     """Parameters of the cells whose critical points differ from the full scan's in any bit."""
-    cut, full = _critical_points(sols, t_max), critical_points_full_scan(sols, t_max)
+    cut, full = _critical_points(kernel_of(sols), t_max), critical_points_full_scan(sols, t_max)
     return [
         sol.params
         for sol, a, b in zip(sols, cut, full)
@@ -629,7 +656,7 @@ def test_cut_scan_equals_full_scan_on_readme_subgrid():
     # the phase brackets are narrowed to the grid step a scan brackets, so
     # pair-dominated cells are bitwise equal too, not only the real-dominated
     sols = _solutions(SUBGRID)
-    cells, n = _ModalCells(sols), np.array([_scan_intervals(sol, 200.0) for sol in sols])
+    cells, n = kernel_of(sols), np.array([_scan_intervals(sol, 200.0) for sol in sols])
     settle, pair = cells.dominance()
     end, _, count, _ = _scan_plan(cells, n, 200.0)
     # both cuts are taken: real-dominated cells stop early, pair-dominated
@@ -677,7 +704,7 @@ def test_cut_scan_equals_full_scan_with_the_cut_next_to_t_max():
     # t_max a hair below and above the time T where the cut starts, and a
     # scan step either side of it, for real- and pair-dominated cells
     sols = [sol for sol in _solutions(SUBGRID[::7]) if not sol.confluent]
-    settle, pair = _ModalCells(sols).dominance()
+    settle, pair = kernel_of(sols).dominance()
     checked = [0, 0]
     for sol, t, p in zip(sols, settle, pair):
         if not 1.0 < t < 500.0:
@@ -696,7 +723,7 @@ def test_classified_columns_equal_per_cell_reference(t_max):
     errors, t_first, n_total = _classify_cells(HAND_PICKED, t_max)
     assert errors.tolist() == [None] * len(HAND_PICKED)
     sols = _solutions(HAND_PICKED)
-    per_cell = _critical_points(sols, t_max)
+    per_cell = _critical_points(kernel_of(sols), t_max)
     for sol, (zeros, _, abs_g), t, total in zip(sols, per_cell, t_first, n_total):
         assert total.hex() == _total_rise(abs_g).hex(), sol.params
         assert t == zeros[0] if zeros.size else math.isnan(t), sol.params

@@ -40,6 +40,7 @@ from oracles import (
     _total_rise,
     critical_points_full_scan,
     cubic_discriminant,
+    kernel_of,
     tangency_point_bisected,
 )
 
@@ -174,8 +175,12 @@ def test_first_gp_maximum_bisects_when_newton_leaves_bracket(monkeypatch):
 def test_classify_point_kernel_calls(count_calls, gamma_w, kappa):
     # halving every bracket to 1e-12 took 84, 41, 86 and 85 kernel calls here
     calls = count_calls(_ModalCells, "eval")
+    # the stacked solve builds the kernel, and no GSolution on the way
+    kernels = count_calls(_ModalCells, "__init__")
+    solutions = count_calls(GSolution, "__init__")
     classify_point(gamma_w, kappa)
     assert calls() <= 30
+    assert (kernels(), solutions()) == (1, 0)
 
 
 def _rows(coeffs):
@@ -519,6 +524,19 @@ def test_sweep_refuses_too_large_scan_grid_in_its_own_cell():
             find_g_roots(solve_g(ModelParams(kappa=cell.kappa, gamma_w=0.5)), 200.0)
 
 
+def test_sweep_of_overflowing_cells_warns_nothing():
+    # cells whose cubic rows, roots and weights overflow are refused alone, by
+    # the scan or by eigvals; with numpy's warnings raised, one of them made
+    # the whole sweep raise
+    gammas, kappas = [0.5, 1e307], [0.3, 1e16, 1e150]
+    cells = sweep(gammas, kappas, t_max=200.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert sweep(gammas, kappas, t_max=200.0) == cells
+    assert (cells[0].region, cells[0].n_total) == (REGION_NONDIVERGENT, 0.028707616177929034)
+    assert [c.error_type for c in cells[1:]] == ["OverflowError"] * 3 + ["LinAlgError"] * 2
+
+
 def test_sweep_validates_each_cell_once(count_calls):
     # the benchmark's 10 x 10 sub-grid; solving validated each point twice
     validations = count_calls(gfunction, "validate_params")
@@ -587,7 +605,7 @@ def test_sweep_columns_equal_per_cell_reference(readme_sweep):
     cells, _ = readme_sweep
     points = [(float(g), float(k)) for g in README_GAMMAS for k in README_KAPPAS]
     sols = [solve_g(ModelParams(kappa=k, gamma_w=g)) for g, k in points]
-    per_cell = _critical_points(sols, 200.0)
+    per_cell = _critical_points(kernel_of(sols), 200.0)
     assert sum(crit.size >= 10 for _, crit, _ in per_cell) > 300
     assert max(crit.size for _, crit, _ in per_cell) >= 90
     for cell, (zeros, _, abs_g) in zip(cells, per_cell):
@@ -636,11 +654,16 @@ def test_sweep_scans_a_twentieth_of_the_full_grids(count_calls):
 @pytest.mark.parametrize("shift", [0.0, 1.0])
 def test_benchmark_sized_sweep_runs_in_one_block(count_calls, shift):
     # the benchmark's 10 x 10 sub-grid, shifted by up to one README step
-    blocks = count_calls(phasediagram, "_scan")
+    blocks = count_calls(gfunction, "_scan")
+    # one kernel from the stacked solve's columns: 100 GSolutions were built
+    # only to be stacked again
+    kernels = count_calls(_ModalCells, "__init__")
+    solutions = count_calls(GSolution, "__init__")
     gammas = 0.02 + 0.02 * shift + 0.3 * np.arange(10)
     kappas = 0.005 + 0.005 * shift + 0.06 * np.arange(10)
     cells = sweep(gammas, kappas, t_max=200.0)
     assert blocks() == 1
+    assert (kernels(), solutions()) == (1, 0)
     assert {c.region for c in cells} == {REGION_MARKOV, REGION_NONDIVERGENT, REGION_DIVERGENT}
 
 

@@ -140,3 +140,26 @@ def test_cli_import_loads_no_argparse_json_or_traceback():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+SCAN_INTERNALS = {"_ModalCells", "_scan", "_scan_plan", "_scan_steps", "_MAX_SCAN_STEPS", "_grid_too_large"}
+
+
+def test_scan_internals_stay_in_gfunction():
+    # the scan driver lives in gfunction; other modules reach it through
+    # _solve_each's kernel and _scan_blocks
+    uses = []
+    for path in MODULES:
+        if path.name == "gfunction.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            uses += [f"{path.name}:{node.lineno} {n}" for n in names if n in SCAN_INTERNALS]
+    assert MODULES and not uses, uses
