@@ -445,9 +445,9 @@ def _run_dynamics(cfg: RunConfig):
 
 def _run_nonmarkov(cfg: RunConfig):
     p = cfg.params()
-    report = non_markovianity(p, cfg.t_max, cfg.dt)
-    grid = report.series.grid
     sol = solve_g(p)
+    report = non_markovianity(p, cfg.t_max, cfg.dt, gsol=sol)
+    grid = report.series.grid
     fz = f_z_from_g(sol, grid).series["F_z"]
     series = report.series.with_channels(F_z=fz, D=np.abs(report.series["g"]))
     extras = {"n_total": report.n_total, "backflow_windows": report.windows}
@@ -530,9 +530,11 @@ def _run_markov_limit(cfg: RunConfig):
 def _run_qsd(cfg: RunConfig):
     p = cfg.params()
     grid = cfg.grid()
-    result = ensemble_density(p, cfg.theta, grid, cfg.n_traj, cfg.seed, workers=cfg.workers)
+    sol = solve_g(p)
+    result = ensemble_density(p, cfg.theta, grid, cfg.n_traj, cfg.seed,
+                              workers=cfg.workers, gsol=sol)
     rho0 = PureState2.from_bloch_angle(cfg.theta).density_matrix()
-    ref = evolve_master_equation(p, rho0, grid, gsol=solve_g(p))
+    ref = evolve_master_equation(p, rho0, grid, gsol=sol)
     dev = max(
         float(np.max(np.abs(result.series["rho_ee"] - ref["rho_ee"]))),
         float(np.max(np.abs(result.series["rho_eg"] - ref["rho_eg"]))),

@@ -164,14 +164,16 @@ class NonMarkovReport:
     n_total: float
 
 
-def non_markovianity(p: ModelParams, t_max: float, dt: float = 0.01) -> NonMarkovReport:
+def non_markovianity(
+    p: ModelParams, t_max: float, dt: float = 0.01, *, gsol: GSolution | None = None
+) -> NonMarkovReport:
     """BLP measure for the optimal pair, where the trace distance is |g(t)|.
 
     N_t accumulates the positive increments of |g| on the grid, so zeros of
     g are integrable kinks rather than failures.  n_total and the windows
     come from the critical points of |g| and do not depend on dt.
     """
-    sol = solve_g(p)
+    sol = gsol if gsol is not None else solve_g(p)
     _, crit, crit_abs_g = _critical_points(sol._cells, t_max)[0]
     # intervals narrower than the zero refiner's 1e-12 tolerance are not resolved
     rises = np.nonzero((np.diff(crit_abs_g) > 0.0) & (np.diff(crit) >= 1e-12))[0]

@@ -32,6 +32,15 @@ and ensemble reduction runs over fixed-size chunks in index order, so
 results are bitwise identical for any worker count.  The streams' PCG64
 states are computed for a whole chunk at once, replaying numpy's seeding
 (stable by NEP 19), and one generator per chunk draws them in turn.
+
+An ensemble runs in passes of two chunks.  A pass draws its normals, then
+runs time-major over blocks of _BLOCK grid times: scaling, the OU
+recursion, conj, the trapezoid sums and c_g for every trajectory of the
+pass, and then each chunk's sums of c_g, |c_g|^2 and |c_g|^4 over its
+trajectories, one trajectory after another, in a trajectory-major copy of
+the block.  The chunk sums are added in chunk order, from 0.  Every sum
+thus adds the same numbers in the same order as one row-major c_g array
+per chunk would (tests/oracles.py), in a fraction of its memory.
 """
 
 from __future__ import annotations
@@ -48,7 +57,8 @@ from .gfunction import GSolution, solve_g
 from .model import GridSpec, ModelParams, PureState2, TimeSeries, validate_params
 
 CHUNK = 128  # fixed reduction granularity; must not depend on worker count
-_BLOCK = 64  # time samples per time-major block in _draw: 128 KB for a chunk
+_PASS = 2  # chunks per time-major pass: halves the per-sample calls; 4 doubled the memory, no faster
+_BLOCK = 64  # time samples per time-major block
 
 
 @dataclass(frozen=True)
@@ -161,51 +171,79 @@ def _check_seed(name: str, value) -> None:
         raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-def _draw(p: ModelParams, grid: GridSpec, base_seed: int, indices, raw=None) -> tuple:
-    """(zeta, w_star): zeta = -i conj(z) of shape (m,) and w*_t of shape (m, n+1).
+def _time_blocks(n_cols: int) -> list:
+    """(lo, hi) column blocks of _BLOCK, the last widened rather than left one column wide.
 
-    Each trajectory draws its 4 + 2n standard normals in one call, read as
-    the complex z, w_0 and the n OU increments in that order, so a
-    trajectory's noises do not depend on chunking.  One generator serves
-    the chunk, given each trajectory's seeded state in turn.  Scaling and
-    the OU recursion run time-major, on contiguous copies of _BLOCK samples
-    of every trajectory, with the same complex multiply, divide and add per
-    sample as a row-major update; conj(z) and w*_t are written back over
-    the chunk's normals, so w_star is a view into them.  raw, when given, is
-    a float buffer of at least m rows of 4 + 2n, which the results then share.
+    A one-column block of c_g would be summed over trajectories along its
+    contiguous axis, pairwise, and differ in the last bits from a row after row sum.
     """
-    n, m = grid.n_steps, len(indices)
+    cuts = list(range(0, n_cols, _BLOCK)) + [n_cols]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _draw(p: ModelParams, grid: GridSpec, base_seed: int, chunks, raw=None):
+    """Yield zeta = -i conj(z), shape (m,), then (j0, w_star) time-major blocks of w*_t.
+
+    A block holds w*_t at grid rows j0 .. j0 + rows - 1 of every trajectory
+    of the chunks, shape (rows, m), and is refilled for the next one.  Each
+    trajectory draws its 4 + 2n standard normals in one call, read as the
+    complex z, w_0 and the n OU increments in that order, so a trajectory's
+    noises do not depend on chunking.  One generator serves each chunk,
+    given each trajectory's seeded state in turn.  Scaling and the OU
+    recursion run time-major on _BLOCK samples of every trajectory of the
+    chunks at once (an ensemble pass: two chunks), with the same complex
+    multiply, divide and add per sample as a row-major update.  raw, when
+    given, is a float buffer of at least m rows of 4 + 2n for the normals.
+    """
+    n, m = grid.n_steps, sum(map(len, chunks))
     raw = np.empty((m, 4 + 2 * n)) if raw is None else raw[:m]
-    bitgen = np.random.PCG64(0)  # seed replaced row by row
-    gen = np.random.Generator(bitgen)
-    for row, (state, inc) in enumerate(_pcg64_states(base_seed, indices)):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        gen.standard_normal(out=raw[row])
+    row = 0
+    for indices in chunks:
+        bitgen = np.random.PCG64(0)  # seed replaced row by row
+        gen = np.random.Generator(bitgen)
+        for state, inc in _pcg64_states(base_seed, indices):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=raw[row])
+            row += 1
     var_st = 0.5 * p.gamma_w * p.Gamma_w
-    scale = np.full((n + 2, 1), math.sqrt(var_st * (1.0 - math.exp(-2.0 * p.gamma_w * grid.dt))))
+    # complex, so the multiply casts nothing; numpy divides by a real c as it
+    # multiplies by 1/c (Smith's method), so the / sqrt(2) is a multiply
+    scale = np.full((n + 2, 1), math.sqrt(var_st * (1.0 - math.exp(-2.0 * p.gamma_w * grid.dt))),
+                    dtype=complex)
     scale[:2, 0] = 1.0, math.sqrt(var_st)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     # a 0-d decay and positional outputs make the per-sample calls cheaper
     decay = np.asarray(np.exp(-(p.gamma_w + 1j * p.Omega_w) * grid.dt))
     c = raw.view(complex)  # columns z, w_0 and the n increments
-    block = np.empty((min(_BLOCK, n + 2), m), dtype=complex)
-    step, prev = np.empty(m, dtype=complex), None
-    for lo in range(0, n + 2, _BLOCK):
-        hi = min(lo + _BLOCK, n + 2)
+    block = np.empty((min(_BLOCK + 1, n + 2), m), dtype=complex)
+    step, prev = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
+    for lo, hi in _time_blocks(n + 2):
         rows = np.multiply(c[:, lo:hi].T, scale[lo:hi], out=block[: hi - lo])
-        rows /= math.sqrt(2.0)
-        for k, row in enumerate(rows, lo):
-            if k >= 2:  # exact OU update: w_{k-1} = w_{k-2} decay + increment
-                np.add(row, np.multiply(prev, decay, step), row)
-            prev = row
-        prev = rows[-1].copy()  # the block is refilled next
-        np.conj(rows.T, out=c[:, lo:hi])
-    return -1j * c[:, 0], c[:, 1:]
+        rows *= inv_sqrt2
+        # exact OU update of w_{k-1} = w_{k-2} decay + increment, from column 2 on
+        last = rows[1] if lo == 0 else prev
+        for row in rows[2:] if lo == 0 else rows:
+            np.add(row, np.multiply(last, decay, step), row)
+            last = row
+        np.copyto(prev, last)  # the block is refilled next
+        np.conj(rows, out=rows)
+        if lo == 0:
+            yield -1j * rows[0]
+            yield 0, rows[1:]
+        else:
+            yield lo - 1, rows
 
 
 def _noise_chunk(p: ModelParams, grid: GridSpec, base_seed: int, indices) -> tuple:
     """(z_star, w_star) arrays of shape (m, n+1) for the given trajectory indices."""
-    zeta, w_star = _draw(p, grid, base_seed, indices)
+    blocks = _draw(p, grid, base_seed, [indices])
+    zeta = next(blocks)
+    w_star = np.empty((len(zeta), grid.n_steps + 1), dtype=complex)
+    for j0, rows in blocks:
+        w_star[:, j0 : j0 + len(rows)] = rows.T
     z_star = zeta[:, None] * np.exp(1j * p.omega_c * grid.times())[None, :]
     return z_star, w_star
 
@@ -223,35 +261,59 @@ def sample_noises(
 
 
 def _closed_form(p: ModelParams, grid: GridSpec, gsol: GSolution | None, psi0: PureState2):
-    """c_e on the grid, and the map from noise rows to c_g.
+    """c_e on the grid, and the map from blocks of noise to c_g.
 
-    ground(z0, w_star) takes z*_t at the first grid time, shape (m,), and
-    the w*_t samples, shape (m, n+1), which it overwrites; it returns c_g
-    of shape (m, n+1).  g is evaluated here, once, so ground can run on
-    several threads.
+    ground(z0, blocks) takes z*_t at the first grid time, shape (m,), and
+    the time-major (j0, w_star) blocks of w*_t in time order, as _draw
+    yields them; it overwrites each block with c_g at the same grid rows
+    and yields it.  The trapezoid sums of the w integral run along time,
+    each block starting from the last sample and sum of the one before.
+    g is evaluated here, once, so ground can run on several threads.
     """
     ce0, cg0 = psi0.c_e, psi0.c_g
     ts = grid.times()
     half = np.exp(-0.5j * p.omega * (ts - grid.t0))
     back = np.conj(half)
     if p.kappa == 0.0:
-        return ce0 * half, lambda z0, w_star: np.broadcast_to(cg0 * back, w_star.shape)
+        const = cg0 * back
+
+        def ground(z0, blocks):
+            for j0, w_star in blocks:
+                w_star[...] = const[j0 : j0 + len(w_star), None]
+                yield j0, w_star
+
+        return ce0 * half, ground
     g, gp, _ = (gsol if gsol is not None else solve_g(p)).eval(ts)
     q = ce0 * gp / (p.kappa * g[0])  # c_e F_z = -q e^{-i omega (t - t0)/2}
     dq = q - q[0]
     v = half**2 * q
 
-    def ground(z0, w_star):
-        w_star *= v
-        cg = np.empty_like(w_star)
-        cg[:, 0] = 0.0
-        np.add(w_star[:, 1:], w_star[:, :-1], out=cg[:, 1:])
-        np.cumsum(cg[:, 1:], axis=1, out=cg[:, 1:])  # trapezoid sums of the w integral
-        cg *= 0.5j * grid.dt
-        cg -= np.multiply(z0[:, None], dq, out=w_star)
-        cg += cg0
-        cg *= back
-        return cg
+    def ground(z0, blocks):
+        sums = np.empty((0, len(z0)), dtype=complex)
+        a_last, s_last = np.empty((2, len(z0)), dtype=complex)  # the block before's last a and sum
+        for j0, w_star in blocks:
+            j1 = j0 + len(w_star)
+            if len(sums) < len(w_star):  # grown to the widest block so far
+                sums = np.empty_like(w_star)
+            s = sums[: len(w_star)]
+            w_star *= v[j0:j1, None]
+            np.add(w_star[1:], w_star[:-1], out=s[1:])
+            if j0 == 0:  # s_1 is the first pair itself, as a cumulative sum gives it
+                s[0] = 0.0
+                last, rows = s[1], s[2:]
+            else:
+                np.add(w_star[0], a_last, out=s[0])
+                last, rows = s_last, s
+            for row in rows:  # trapezoid sums in time order, all trajectories a call
+                np.add(last, row, row)
+                last = row
+            np.copyto(a_last, w_star[-1])
+            np.copyto(s_last, last)
+            s *= 0.5j * grid.dt
+            np.subtract(s, np.multiply(z0, dq[j0:j1, None], out=w_star), out=w_star)
+            w_star += cg0
+            w_star *= back[j0:j1, None]
+            yield j0, w_star
 
     return ce0 * half * (g / g[0]), ground
 
@@ -272,8 +334,9 @@ def evolve_trajectory(
     validate_params(p)
     _check_grid(p, grid)
     ce, ground = _closed_form(p, grid, gsol, psi0)
-    cg = ground(noises.z_star[:1], np.array(noises.w_star, dtype=complex, ndmin=2))
-    return TrajectoryState(np.column_stack([ce, cg[0]]))
+    w_star = np.array(noises.w_star, dtype=complex)[:, None]
+    [(_, cg)] = ground(noises.z_star[:1], [(0, w_star)])
+    return TrajectoryState(np.column_stack([ce, cg[:, 0]]))
 
 
 @dataclass(frozen=True)
@@ -307,6 +370,15 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(workers, 1)
 
 
+def _sum_in_order(passes) -> tuple:
+    """Totals of the passes' per-chunk sums, added in chunk order from 0 as sum() adds."""
+    s1 = s2 = s4 = 0
+    for sums in passes:
+        for c1, c2, c4 in zip(*sums):
+            s1, s2, s4 = s1 + c1, s2 + c2, s4 + c4
+    return s1, s2, s4
+
+
 def ensemble_density(
     p: ModelParams,
     theta: float,
@@ -315,6 +387,7 @@ def ensemble_density(
     base_seed: int,
     *,
     workers: int | None = None,
+    gsol: GSolution | None = None,
 ) -> EnsembleResult:
     """Mean of psi psi^dagger over n_traj trajectories, with standard errors.
 
@@ -329,36 +402,49 @@ def ensemble_density(
         raise ValidationError(f"n_traj must be >= 100, got {n_traj}")
     _check_seed("base_seed", base_seed)
     _check_grid(p, grid)
-    ce, ground = _closed_form(p, grid, None, PureState2.from_bloch_angle(theta))
+    ce, ground = _closed_form(p, grid, gsol, PureState2.from_bloch_angle(theta))
     z_phase = np.exp(1j * p.omega_c * grid.t0)
-    # each worker draws its chunks into one buffer: a fresh one per chunk can
-    # cost a page fault per 4 KB, depending on the allocator's state
+    n, width = grid.n_steps, _PASS * CHUNK
+    # each worker draws its passes into one set of buffers: fresh ones per
+    # pass can cost a page fault per 4 KB, depending on the allocator's state
     buffers = threading.local()
 
-    def run_chunk(chunk_index: int):
-        lo = chunk_index * CHUNK
+    def run_pass(first: int):
+        """Per-chunk sums of c_g, |c_g|^2 and |c_g|^4 of the pass's trajectories."""
+        stop = min(first + width, n_traj)
+        chunks = [range(lo, min(lo + CHUNK, stop)) for lo in range(first, stop, CHUNK)]
         if not hasattr(buffers, "raw"):
-            buffers.raw = np.empty((CHUNK, 4 + 2 * grid.n_steps))
-        indices = range(lo, min(lo + CHUNK, n_traj))
-        zeta, w_star = _draw(p, grid, base_seed, indices, buffers.raw)
-        cg = ground(zeta * z_phase, w_star)
-        a2 = np.abs(cg)
-        a2 *= a2
-        return cg.sum(axis=0), a2.sum(axis=0), np.einsum("mk,mk->k", a2, a2)
+            buffers.raw = np.empty((width, 4 + 2 * n))
+            buffers.cg = np.empty(width * (_BLOCK + 1), dtype=complex)
+            buffers.a2 = np.empty(width * (_BLOCK + 1))
+        s1 = np.empty((len(chunks), n + 1), dtype=complex)
+        s2, s4 = np.empty((2, len(chunks), n + 1))
+        blocks = _draw(p, grid, base_seed, chunks, buffers.raw)
+        for j0, rows in ground(next(blocks) * z_phase, blocks):
+            cols = slice(j0, j0 + len(rows))
+            # trajectory-major, so each sum over trajectories runs row after row
+            cg = buffers.cg[: rows.size].reshape(rows.shape[::-1])
+            np.copyto(cg, rows.T)
+            a2 = np.abs(cg, out=buffers.a2[: rows.size].reshape(cg.shape))
+            a2 *= a2
+            for k, indices in enumerate(chunks):
+                mine = slice(k * CHUNK, k * CHUNK + len(indices))
+                np.add.reduce(cg[mine], axis=0, out=s1[k, cols])
+                np.add.reduce(a2[mine], axis=0, out=s2[k, cols])
+                np.einsum("mk,mk->k", a2[mine], a2[mine], out=s4[k, cols])
+        return s1, s2, s4
 
-    n_chunks = (n_traj + CHUNK - 1) // CHUNK
+    starts = range(0, n_traj, width)
     n_workers = resolve_workers(workers)
-    if n_workers == 1 or n_chunks == 1:
-        parts = [run_chunk(i) for i in range(n_chunks)]
+    if n_workers == 1 or len(starts) == 1:
+        s1, s2, s4 = _sum_in_order(map(run_pass, starts))
     else:
         # imported where a pool runs: importing concurrent.futures is a
         # large share of importing nmgeo
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
-
-    s1, s2, s4 = (sum(col) for col in zip(*parts))  # chunk order fixed by map
+            s1, s2, s4 = _sum_in_order(pool.map(run_pass, starts))  # in pass order
 
     mean_cg = s1 / n_traj
     rho_ee = np.abs(ce) ** 2

@@ -18,7 +18,10 @@ columnar _scan_steps, and _total_rise sums one cell's rises in time
 order, the reference for its segmented _total_rises.  f_w_closed_form,
 trace_distance, density_matrix_at, density_series_diagnostics,
 ode_state_matrix and cubic_discriminant are small closed forms only the
-tests read.
+tests read.  ensemble_density_rowmajor draws a chunk's noises, maps them
+to c_g with closed_form_rowmajor's ground on whole rows and reduces each
+chunk over full (m, n+1) arrays, the reference for the library's
+time-major passes, which must match it bitwise.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from nmgeo import (
     IntegrationFailure,
     ModelParams,
     NoConvergence,
+    PureState2,
     TimeSeries,
     ValidationError,
     green_boundary,
@@ -45,6 +49,7 @@ from nmgeo.dynamics import _initial_family
 from nmgeo.gfunction import MARKOV, _ode_rows, _sign_changes, _solve_each, _sorted_by_cell
 from nmgeo.model import validate_params
 from nmgeo.phasediagram import _check_tangency_domain
+from nmgeo.qsd import CHUNK, EnsembleResult, _pcg64_states
 
 # first-lobe scan window and samples of _first_gp_maximum
 _T_SCAN, _N_SCAN = 60.0, 2500
@@ -402,3 +407,109 @@ def critical_points_full_scan(sols: list[GSolution], t_max: float) -> list[tuple
     return list(
         zip(np.split(zg, zg_cut), np.split(crit, crit_cut), np.split(abs_g, crit_cut))
     )
+
+
+def _draw_rowmajor(p: ModelParams, grid: GridSpec, base_seed: int, indices) -> tuple:
+    """(zeta, w_star) of shape (m,) and (m, n+1) for the given trajectory indices.
+
+    One generator draws every trajectory's 4 + 2n normals from its seeded
+    state; scaling and the OU recursion run on time-major copies of 64
+    samples with the same complex operations per sample as the library,
+    and conj(z), w*_t are written back over the normals.
+    """
+    n, m = grid.n_steps, len(indices)
+    raw = np.empty((m, 4 + 2 * n))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for row, (state, inc) in enumerate(_pcg64_states(base_seed, indices)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=raw[row])
+    var_st = 0.5 * p.gamma_w * p.Gamma_w
+    scale = np.full((n + 2, 1), math.sqrt(var_st * (1.0 - math.exp(-2.0 * p.gamma_w * grid.dt))))
+    scale[:2, 0] = 1.0, math.sqrt(var_st)
+    decay = np.asarray(np.exp(-(p.gamma_w + 1j * p.Omega_w) * grid.dt))
+    c = raw.view(complex)
+    step, prev = np.empty(m, dtype=complex), None
+    for lo in range(0, n + 2, 64):
+        hi = min(lo + 64, n + 2)
+        rows = np.multiply(c[:, lo:hi].T, scale[lo:hi])
+        rows /= math.sqrt(2.0)
+        for k, row in enumerate(rows, lo):
+            if k >= 2:
+                np.add(row, np.multiply(prev, decay, step), row)
+            prev = row
+        prev = rows[-1].copy()
+        np.conj(rows.T, out=c[:, lo:hi])
+    return -1j * c[:, 0], c[:, 1:]
+
+
+def closed_form_rowmajor(p: ModelParams, grid: GridSpec, psi0: PureState2):
+    """(c_e, ground): ground(z0, w_star) maps rows of w*_t, shape (m, n+1), to c_g.
+
+    The trapezoid sums run along each row with np.cumsum; w_star is
+    overwritten.
+    """
+    ce0, cg0 = psi0.c_e, psi0.c_g
+    ts = grid.times()
+    half = np.exp(-0.5j * p.omega * (ts - grid.t0))
+    back = np.conj(half)
+    if p.kappa == 0.0:
+        return ce0 * half, lambda z0, w_star: np.broadcast_to(cg0 * back, w_star.shape)
+    g, gp, _ = solve_g(p).eval(ts)
+    q = ce0 * gp / (p.kappa * g[0])
+    dq = q - q[0]
+    v = half**2 * q
+
+    def ground(z0, w_star):
+        w_star *= v
+        cg = np.empty_like(w_star)
+        cg[:, 0] = 0.0
+        np.add(w_star[:, 1:], w_star[:, :-1], out=cg[:, 1:])
+        np.cumsum(cg[:, 1:], axis=1, out=cg[:, 1:])
+        cg *= 0.5j * grid.dt
+        cg -= np.multiply(z0[:, None], dq, out=w_star)
+        cg += cg0
+        cg *= back
+        return cg
+
+    return ce0 * half * (g / g[0]), ground
+
+
+def ensemble_density_rowmajor(
+    p: ModelParams, theta: float, grid: GridSpec, n_traj: int, base_seed: int
+) -> EnsembleResult:
+    """ensemble_density with one row-major c_g array per CHUNK trajectories.
+
+    Each chunk sums c_g, |c_g|^2 and |c_g|^4 over its (m, n+1) arrays, and
+    the chunk sums are added in chunk order with the built-in sum.
+    """
+    ce, ground = closed_form_rowmajor(p, grid, PureState2.from_bloch_angle(theta))
+    z_phase = np.exp(1j * p.omega_c * grid.t0)
+    parts = []
+    for lo in range(0, n_traj, CHUNK):
+        zeta, w_star = _draw_rowmajor(p, grid, base_seed, range(lo, min(lo + CHUNK, n_traj)))
+        cg = ground(zeta * z_phase, w_star)
+        a2 = np.abs(cg)
+        a2 *= a2
+        parts.append((cg.sum(axis=0), a2.sum(axis=0), np.einsum("mk,mk->k", a2, a2)))
+    s1, s2, s4 = (sum(col) for col in zip(*parts))
+
+    mean_cg = s1 / n_traj
+    rho_ee = np.abs(ce) ** 2
+    rho_gg = s2 / n_traj
+    rho_eg = ce * np.conj(mean_cg)
+    var_gg = np.maximum(s4 / n_traj - rho_gg**2, 0.0)
+    var_eg = rho_ee * np.maximum(rho_gg - np.abs(mean_cg) ** 2, 0.0)
+    stderr_gg = np.sqrt(var_gg / n_traj)
+    channels = {
+        "rho_ee": rho_ee,
+        "rho_eg": rho_eg,
+        "rho_ge": np.conj(rho_eg),
+        "rho_gg": rho_gg,
+        "stderr_ee": np.zeros_like(rho_ee),
+        "stderr_eg": np.sqrt(var_eg / n_traj),
+        "stderr_gg": stderr_gg,
+    }
+    return EnsembleResult(TimeSeries(grid, channels), n_traj, base_seed,
+                          float(rho_ee[-1] + rho_gg[-1]), float(stderr_gg[-1]))

@@ -21,6 +21,7 @@ from nmgeo.cli import (
     write_sweep_csv,
 )
 from nmgeo.errors import ConfigParseError, UnknownConfigKey
+from nmgeo.gfunction import _ModalCells
 from nmgeo.phasediagram import GREEN_BLUE_JOIN, PhaseCell, classify_point
 
 
@@ -129,6 +130,29 @@ def test_readme_series_csv_bytes_pinned(tmp_path, case):
             "--t-max", "20", "--dt", "0.001", "--out", str(out)]
     assert run(args) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# sha256 of the README qsd recipe's CSV, pinned like the series above
+README_QSD_SHA256 = "58f220e572e921a70c5c1c857e54222a1ec57393eea54abd6572e81813debb57"
+
+
+def test_readme_qsd_csv_bytes_pinned(tmp_path):
+    out = tmp_path / "qsd.csv"
+    args = ["qsd", "--gamma-w", "0.9", "--kappa", "0.43", "--theta", "0.7853981633974483",
+            "--t-max", "5", "--dt", "0.01", "--n-traj", "20000", "--seed", "1", "--out", str(out)]
+    assert run(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_QSD_SHA256
+
+
+@pytest.mark.parametrize("args", [
+    ["nonmarkov", "--t-max", "20", "--dt", "0.01"],
+    ["qsd", "--theta", "0.7853981633974483", "--t-max", "1", "--dt", "0.01", "--n-traj", "100"],
+])
+def test_recipe_solves_g_once(tmp_path, count_calls, args):
+    # the handler's solution serves the library calls it makes
+    kernels = count_calls(_ModalCells, "__init__")
+    assert run([*args, "--gamma-w", "0.9", "--kappa", "0.43", "--out", str(tmp_path / "o.csv")]) == 0
+    assert kernels() == 1
 
 
 def test_sweep_csv_contents(tmp_path):

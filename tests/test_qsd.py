@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from nmgeo import (
     solve_g,
 )
 from nmgeo.qsd import NoiseRealization, evolve_trajectory
+
+from oracles import closed_form_rowmajor, ensemble_density_rowmajor
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +264,48 @@ def test_bad_base_seed_rejected(p, grid, seed):
 def test_bad_traj_index_rejected(p, grid):
     with pytest.raises(ValidationError, match="traj_index must be a non-negative integer"):
         sample_noises(p, grid, 1, -1)
+
+
+@pytest.mark.parametrize("kappa", [0.43, 0.0])
+@pytest.mark.parametrize("grid", [
+    GridSpec.uniform(1.0, 0.01), GridSpec.uniform(8.0, 0.01), GridSpec(0.01, 150, 0.5),
+    GridSpec(0.01, 127), GridSpec(0.01, 128),
+], ids=["0-1", "0-8", "t0-0.5", "widened-last-block", "two-row-last-block"])
+def test_ensemble_bitwise_equal_to_rowmajor_reference(kappa, grid):
+    # 100, 333, 700 and 1100 leave remainders of a chunk and of a two-chunk pass;
+    # 127 steps would leave a last block of one grid time, 128 one of two
+    p = ModelParams(kappa=kappa, gamma_w=0.9)
+    for n_traj in (100, 333, 700, 1100):
+        ref = ensemble_density_rowmajor(p, math.pi / 4, grid, n_traj, 5)
+        for workers in (1, 3):
+            res = ensemble_density(p, math.pi / 4, grid, n_traj, 5, workers=workers)
+            for ch in ref.series.channels:
+                assert np.array_equal(res.series[ch], ref.series[ch]), (n_traj, workers, ch)
+            assert res.mean_final_norm_sq == ref.mean_final_norm_sq
+            assert res.stderr_final_norm_sq == ref.stderr_final_norm_sq
+
+
+@pytest.mark.parametrize("kappa", [0.43, 0.0])
+def test_trajectory_bitwise_equal_to_rowmajor_ground(kappa):
+    p = ModelParams(kappa=kappa, gamma_w=0.9)
+    grid = GridSpec.uniform(8.0, 0.01)
+    psi0 = PureState2.from_bloch_angle(1.1)
+    nr = sample_noises(p, grid, 23, 4)
+    ce, ground = closed_form_rowmajor(p, grid, psi0)
+    cg = ground(nr.z_star[:1], np.array(nr.w_star, dtype=complex, ndmin=2))[0]
+    traj = evolve_trajectory(p, psi0, nr, grid)
+    assert np.array_equal(traj.states[:, 0], ce)
+    assert np.array_equal(traj.states[:, 1], cg)
+
+
+def test_ensemble_memory_bounded(p):
+    # deterministic: the traced peak of one [0, 8] ensemble was 7.8 MiB with
+    # a row-major c_g array per chunk
+    grid = GridSpec.uniform(8.0, 0.01)
+    tracemalloc.start()
+    try:
+        ensemble_density(p, math.pi / 4, grid, 20_000, base_seed=1, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
