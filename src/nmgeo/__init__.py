@@ -27,7 +27,6 @@ from .errors import (
     ConfigParseError,
     IntegrationFailure,
     NegativeCoupling,
-    NegativeKappaSquared,
     NmgeoError,
     NoConvergence,
     NonPositiveRate,

@@ -33,10 +33,6 @@ class OutOfDomain(NmgeoError):
     """Argument outside the validity domain of an analytic boundary curve."""
 
 
-class NegativeKappaSquared(NmgeoError):
-    """Boundary formula produced kappa^2 < 0; indicates a branch error."""
-
-
 class NoConvergence(NmgeoError):
     """Iterative solver failed; carries scan/iteration diagnostics."""
 

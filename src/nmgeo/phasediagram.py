@@ -5,8 +5,8 @@ green curve kappa = sqrt(gamma_w (9 - 4 gamma_w)) / 6 for gamma_w up to
 27/16 and, beyond that, the blue curve obtained from the vanishing of the
 characteristic-cubic discriminant; the two join at (27/16, 3 sqrt(3)/16).
 The Markov / non-Markovian crossover for gamma_w < 27/16 is the locus
-where g' becomes tangent to zero: g'(t*) = g''(t*) = 0, one equation in
-kappa on the cubic's roots (see _tangency_residual).
+where g' becomes tangent to zero: g'(t*) = g''(t*) = 0, one closed-form
+equation in the cubic's real root (see _tangency_residual).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeKappaSquared, NmgeoError, NoConvergence, OutOfDomain
+from .errors import NmgeoError, NoConvergence, OutOfDomain
 from .gfunction import (
     _cubic_rows,
     _scan_blocks,
@@ -59,7 +59,8 @@ def blue_boundary(gamma_w: float) -> float:
         a = arcsec( 8 sqrt(2 gw) (2 gw + 27)^{3/2} / (8 gw (4 gw - 135) - 729) ).
 
     The arcsec argument is <= -1 on the domain, so a = arccos(1/arg) lies in
-    (pi/2, pi]; at the join point the argument is exactly -1.
+    (pi/2, pi]; at the join point the argument is exactly -1.  kappa falls
+    from 3 sqrt(3)/16 to 0.2771 at gamma_w = 3, so kappa^2 stays positive.
     """
     if not (GREEN_BLUE_JOIN <= gamma_w <= 3.0):
         raise OutOfDomain(f"blue boundary needs gamma_w in [27/16, 3], got {gamma_w}")
@@ -71,10 +72,6 @@ def blue_boundary(gamma_w: float) -> float:
         math.sqrt(2.0 * gamma_w**3 * (2.0 * gamma_w + 27.0)) * math.cos(a / 3.0) / 3.0
         - gamma_w * (4.0 * gamma_w + 3.0) / 6.0
     )
-    if k2 < 0.0:
-        raise NegativeKappaSquared(
-            f"kappa^2 = {k2} < 0 at gamma_w = {gamma_w}; arcsec branch error"
-        )
     return math.sqrt(k2)
 
 
@@ -85,9 +82,17 @@ def _check_tangency_domain(gamma_w: float):
         )
 
 
-def _tangency_residual(gamma_w: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, t*) at each (gamma_w[i], kappa[i]): F = 0 on the tangency, t* the
-    time of the first lobe of g'.  One _stacked_roots call solves every cubic.
+def _cubic_of_real_root(gamma_w: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(kappa^2, Re x1, Im x1) of the cubic (Gamma_w = 1) with the real root x0, by
+    Vieta's formulas; kappa falls from green_boundary at x0 = -2 gamma_w/3 to 0 at 0."""
+    k2 = -x0 * (x0 * x0 + 2.0 * gamma_w * (x0 + 1.0)) / (4.0 * (x0 + 2.0 * gamma_w))
+    re = -0.5 * (2.0 * gamma_w + x0)
+    return k2, re, np.sqrt(-8.0 * k2 * gamma_w / x0 - re * re)
+
+
+def _tangency_residual(gamma_w: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(F, t*, kappa) at the cubic with the real root x0[i] (_cubic_of_real_root):
+    F = 0 on the tangency, t* the time of the first lobe of g'.  No root solve.
 
     At g' = g'' = 0 the mode amplitudes w_i e^{x_i t/2} are orthogonal to
     (x_i) and (x_i^2), so (x_i + 2 gamma_w) e^{x_i t/2} is the same for every
@@ -97,14 +102,11 @@ def _tangency_residual(gamma_w: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarr
     its imaginary part gives t* = (Arg Q + 2 pi)/Im(x1/2), its real part
     F = (Re x1 - x0) t*/2 - ln|Q|.
     """
-    k2 = np.array([k**2 for k in kappa.tolist()])  # as cubic_coefficients squares
-    x = _stacked_roots(_cubic_rows(k2, gamma_w, 1.0))
-    rows = np.arange(len(x))
-    x0 = x[rows, np.argmin(np.abs(x.imag), axis=1)].real
-    x1 = x[rows, np.argmax(x.imag, axis=1)]
-    q = (x0 + 2.0 * gamma_w) / (x1 + 2.0 * gamma_w)
-    t = (np.angle(q) + 2.0 * math.pi) / (0.5 * x1.imag)
-    return 0.5 * (x1.real - x0) * t - np.log(np.abs(q)), t
+    k2, re, im = _cubic_of_real_root(gamma_w, x0)
+    re = re + 2.0 * gamma_w  # x1 + 2 gamma_w, whose argument is -Arg Q
+    t = (2.0 * math.pi - np.arctan2(im, re)) / (0.5 * im)
+    f = -0.25 * (2.0 * gamma_w + 3.0 * x0) * t + np.log(np.hypot(re, im) / (x0 + 2.0 * gamma_w))
+    return f, t, np.sqrt(k2)
 
 
 def tangency_point(gamma_w: float) -> tuple[float | None, float]:
@@ -112,11 +114,12 @@ def tangency_point(gamma_w: float) -> tuple[float | None, float]:
     (None, 0.0) where there is no Markov region (gamma_w <= gamma_w0 ~ 0.0735386).
 
     A bracketed secant (Illinois regula falsi, the midpoint where a step
-    leaves the bracket) on the rising F of _tangency_residual over
-    [green/1e4, green], to float resolution in kappa (F = 0 is a zero step),
-    one cubic per step.  F >= 0 at green/1e4 means no Markov region; a NaN
-    F, or one not positive at green, raises NoConvergence.  This is
-    tangency_curve's secant on one point.
+    leaves the bracket) on F of _tangency_residual in the cubic's real root
+    x0, from its root at green/1e4 (one cubic solve) to -2 gamma_w/3, where
+    kappa is green's; to float resolution in x0 (F = 0 is a zero step), and
+    kappa* from x0 in closed form.  F >= 0 at green/1e4 means no Markov
+    region; a NaN F, or one not positive at green, raises NoConvergence.
+    This is tangency_curve's secant on one point.
     """
     _check_tangency_domain(gamma_w)
     point = _tangency_secants([gamma_w])[0]
@@ -130,29 +133,32 @@ def _tangency_secants(gammas: list) -> list:
 
     Every point runs its own secant, with its own bracket, stopping rule
     and 100-step limit, in lockstep with the others: one _tangency_residual
-    call per step takes the points still running.
+    call per step takes the points still running.  One _stacked_roots call
+    gives every point's x0 at green/1e4.
     """
     n = len(gammas)
     gw = np.array(gammas, dtype=float)
-    hi = np.array([green_boundary(g) for g in gammas])
-    lo = hi / 1e4
-    details = [
-        {"gamma_w": g, "kappa_lo": a, "kappa_hi": b}
-        for g, a, b in zip(gammas, lo.tolist(), hi.tolist())
-    ]
-    f, t = _tangency_residual(np.concatenate([gw, gw]), np.concatenate([lo, hi]))
-    f_lo, f_hi, t = f[:n], f[n:], t[n:]
+    k_hi = np.array([green_boundary(g) for g in gammas])
+    k_lo = k_hi / 1e4
+    details = [{"gamma_w": g, "kappa_lo": a, "kappa_hi": b}
+               for g, a, b in zip(gammas, k_lo.tolist(), k_hi.tolist())]
+    # a: the bracket's end with F < 0, b: its end with F > 0
+    roots = _stacked_roots(_cubic_rows(np.array([k**2 for k in k_lo.tolist()]), gw, 1.0))
+    a = roots[np.arange(n), np.argmin(np.abs(roots.imag), axis=1)].real
+    b = -2.0 * gw / 3.0
+    f, t, k = _tangency_residual(np.concatenate([gw, gw]), np.concatenate([a, b]))
+    f_a, f_b, t, k = f[:n], f[n:], t[n:], k[n:]
     points: list = [None] * n
-    bad = np.isnan(f_lo) | ~(f_hi > 0.0)
+    bad = np.isnan(f_a) | ~(f_b > 0.0)
     for i in np.nonzero(bad)[0]:
         points[i] = NoConvergence(
-            f"tangency residual {float(f_lo[i])} at green/1e4, {float(f_hi[i])} at green",
+            f"tangency residual {float(f_a[i])} at green/1e4, {float(f_b[i])} at green",
             details[i],
         )
-    for i in np.nonzero(~bad & (f_lo >= 0.0))[0]:
+    for i in np.nonzero(~bad & (f_a >= 0.0))[0]:
         points[i] = (None, 0.0)
     live = np.array([i for i in range(n) if points[i] is None], dtype=np.intp)
-    k, moved, eps = hi.copy(), np.zeros(n), 4.0 * np.finfo(float).eps
+    x, moved, eps = b.copy(), np.zeros(n), 4.0 * np.finfo(float).eps
 
     def finish(done):
         for i in done:
@@ -161,29 +167,28 @@ def _tangency_secants(gammas: list) -> list:
     for _ in range(100):
         if not live.size:
             break
-        new = (lo[live] * f_hi[live] - hi[live] * f_lo[live]) / (f_hi[live] - f_lo[live])
-        done = np.abs(new - k[live]) <= eps * k[live]
+        new = (a[live] * f_b[live] - b[live] * f_a[live]) / (f_b[live] - f_a[live])
+        done = np.abs(new - x[live]) <= eps * np.abs(x[live])
         finish(live[done])
         live, new = live[~done], new[~done]
-        a, b = lo[live], hi[live]
-        k[live] = np.where((a < new) & (new < b), new, 0.5 * (a + b))
-        f, t[live] = _tangency_residual(gw[live], k[live])
+        inside = (new - a[live]) * (new - b[live]) < 0.0
+        x[live] = np.where(inside, new, 0.5 * (a[live] + b[live]))
+        f, t[live], k[live] = _tangency_residual(gw[live], x[live])
         nan = np.isnan(f)
         for i in live[nan]:
             points[i] = NoConvergence(
-                "tangency residual is NaN", {**details[i], "kappa": float(k[i])}
+                "tangency residual is NaN", {**details[i], "x0": float(x[i]), "kappa": float(k[i])}
             )
         live, f = live[~nan], f[~nan]
         # Illinois: an end that stays twice has its value halved
         neg = f < 0.0
-        lo[live] = np.where(neg, k[live], lo[live])
-        hi[live] = np.where(neg, hi[live], k[live])
-        f_lo[live], f_hi[live] = (
-            np.where(neg, f, f_lo[live] * np.where(moved[live] > 0, 0.5, 1.0)),
-            np.where(neg, f_hi[live] * np.where(moved[live] < 0, 0.5, 1.0), f),
+        a[live], b[live] = np.where(neg, x[live], a[live]), np.where(neg, b[live], x[live])
+        f_a[live], f_b[live] = (
+            np.where(neg, f, f_a[live] * np.where(moved[live] > 0, 0.5, 1.0)),
+            np.where(neg, f_b[live] * np.where(moved[live] < 0, 0.5, 1.0), f),
         )
         moved[live] = np.where(neg, -1.0, 1.0)
-        done = hi[live] - lo[live] <= eps * hi[live]
+        done = np.abs(b[live] - a[live]) <= eps * np.abs(b[live])
         finish(live[done])
         live = live[~done]
     for i in live:

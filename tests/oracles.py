@@ -51,8 +51,9 @@ from nmgeo.model import validate_params
 from nmgeo.phasediagram import _check_tangency_domain
 from nmgeo.qsd import CHUNK, EnsembleResult, _pcg64_states
 
-# first-lobe scan window and samples of _first_gp_maximum
-_T_SCAN, _N_SCAN = 60.0, 2500
+# first-lobe scan window and samples of _first_gp_maximum: 60 / 2499 apart,
+# up to the first lobe at t* ~ 144 of gamma_w = 1.685
+_T_SCAN, _N_SCAN = 200.0, 8331
 
 
 def _derivative_4th(y: np.ndarray, dt: float) -> np.ndarray:

@@ -517,7 +517,7 @@ def test_boundaries_manifest_keeps_tangency_error(tmp_path, monkeypatch):
     # a failed solve is an error of its row, not a missing Markov region
     monkeypatch.setattr(
         nmgeo.phasediagram, "_tangency_residual",
-        lambda gw, k: (np.full(k.shape, math.nan), np.ones(k.shape)),
+        lambda gw, x0: (np.full(x0.shape, math.nan), np.ones(x0.shape), np.ones(x0.shape)),
     )
     assert run(["boundaries", "--gamma-w-range", "0.05:0.1:0.05", "--out", str(out)]) == 0
     rows = _read_csv(out)

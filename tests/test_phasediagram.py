@@ -18,6 +18,7 @@ from nmgeo import (
     OutOfDomain,
     blue_boundary,
     classify_point,
+    cubic_roots,
     find_g_roots,
     g_ode_oracle,
     green_boundary,
@@ -191,7 +192,8 @@ def test_tangency_curve_call_counts(count_calls):
     # the README range 0.05:1.65:0.05 as the CLI parses it; the first-lobe
     # scans, Brent seed and continued Newton took 63 scans, 486 g
     # evaluations and 394 solve_g calls here.  The points' secants run in
-    # lockstep, so the stacked root calls are bounded for the whole range
+    # lockstep in the cubic's real root: one stacked root call, for the
+    # bracket ends at green/1e4, serves the whole range
     evals = count_calls(GSolution, "eval")
     solves = count_calls(phasediagram, "solve_g")
     roots = count_calls(phasediagram, "_stacked_roots", weight=_rows)
@@ -200,31 +202,32 @@ def test_tangency_curve_call_counts(count_calls):
     assert all(p.error is None for p in points)
     assert [p.t_star is None for p in points] == [True] + [False] * 32
     assert evals() == 0 and solves() == 0
-    assert roots() <= 20 * 33
-    assert stacked() <= 20
+    assert roots() == 33
+    assert stacked() == 1
 
 
 def test_tangency_curve_first_lobe_calls(count_calls):
-    # halving kappa took 145 first-lobe scans and 477 solve_g calls here; each
-    # closed-form first-lobe lookup is one cubic, 263 lookups on this range
-    lobes = count_calls(phasediagram, "_tangency_residual", weight=lambda gw, k: len(k))
+    # halving kappa took 145 first-lobe scans and 477 solve_g calls here; the
+    # secant in the real root solves one cubic per row, for its end at
+    # green/1e4, and makes 263 closed-form first-lobe lookups on this range
+    lobes = count_calls(phasediagram, "_tangency_residual", weight=lambda gw, x0: len(x0))
     solves = count_calls(phasediagram, "solve_g")
     roots = count_calls(phasediagram, "_stacked_roots", weight=_rows)
     tangency_curve(0.05 + 0.05 * np.arange(33))
     assert lobes() <= 10 * 33
-    assert roots() == lobes()
+    assert roots() == 33
     assert solves() == 0
 
 
 @pytest.mark.parametrize("gamma_w", [0.1, 0.5, 1.0, 1.6, 1.65])
 def test_tangency_point_first_lobe_calls(count_calls, gamma_w):
     # halving kappa took 54-57 first-lobe scans here, the Brent seed 7-24;
-    # the closed form solves one cubic per secant step and evaluates no g
+    # the closed form solves one cubic, at green/1e4, and evaluates no g
     evals = count_calls(GSolution, "eval")
     roots = count_calls(phasediagram, "_stacked_roots", weight=_rows)
     tangency_point(gamma_w)
     assert evals() == 0
-    assert roots() <= 20
+    assert roots() == 1
 
 
 def test_tangency_point_matches_bisection_reference():
@@ -236,8 +239,36 @@ def test_tangency_point_matches_bisection_reference():
         (t, k), (t_ref, k_ref) = tangency_point(gw), tangency_point_bisected(gw)
         assert abs(k - k_ref) <= 1e-13 * k_ref, gw
         assert abs(t - t_ref) <= 1e-9, gw
+    # where F is steepest in x0, with t* ~ 83 and 144.  t* grows like
+    # 1/(27/16 - gamma_w), and the reference's t* with it from its last bit
+    # of kappa: at 1.685 it is 1.0e-9 off a 40-digit solve, the closed form 6e-12
+    for gw in (1.68, 1.685):
+        (t, k), (t_ref, k_ref) = tangency_point(gw), tangency_point_bisected(gw)
+        assert abs(k - k_ref) <= 1e-13 * k_ref, gw
+        assert abs(t - t_ref) <= 1e-11 * t_ref, gw
     for gw in (0.05, 0.06, 0.0725):
         assert tangency_point(gw) == tangency_point_bisected(gw) == (None, 0.0)
+
+
+@pytest.mark.parametrize("gamma_w", [0.0736, 0.1, 0.5, 1.0, 1.5, 1.68, 1.6874])
+def test_cubic_of_real_root_matches_cubic_roots(gamma_w):
+    # Vieta's map from the real root x0 to kappa and the pair x1, against the
+    # cubic solved at that kappa, over log-spaced x0 in (-2 gamma_w/3, 0)
+    x0 = -2.0 * gamma_w / 3.0 * np.geomspace(1e-8, 1.0, 33)[:-1]
+    k2, re, im = phasediagram._cubic_of_real_root(np.full(x0.shape, gamma_w), x0)
+    for x, kappa, x1 in zip(x0, np.sqrt(k2), re + 1j * im):
+        roots = cubic_roots(ModelParams(kappa=float(kappa), gamma_w=gamma_w))
+        real = roots[roots.imag == 0.0].real
+        assert real.size == 1 and abs(real[0] - x) <= 1e-13 * abs(x), (gamma_w, x)
+        assert abs(roots[np.argmax(roots.imag)] - x1) <= 1e-13 * abs(x1), (gamma_w, x)
+
+
+def test_cubic_of_real_root_at_green():
+    # x0 = -2 gamma_w/3, where the three roots share their real part, is the green curve
+    for gw in np.linspace(0.001, GREEN_BLUE_JOIN, 400, endpoint=False):
+        k2, _, _ = phasediagram._cubic_of_real_root(gw, -2.0 * gw / 3.0)
+        green = green_boundary(float(gw))
+        assert abs(math.sqrt(k2) - green) <= 2.0 * np.spacing(green), gw
 
 
 def test_tangency_endpoint_has_no_markov_region_below():
@@ -265,17 +296,23 @@ def test_tangency_past_the_old_scan_window():
     assert np.max(gp) / k_star**2 <= 1e-12
 
 
+def _bracket_ends(gamma_w):
+    """The secant's bracket in the real root x0: its root at green/1e4, and -2 gamma_w/3."""
+    roots = cubic_roots(ModelParams(kappa=green_boundary(gamma_w) / 1e4, gamma_w=gamma_w))
+    return roots[roots.imag == 0.0].real[0], -2.0 * gamma_w / 3.0
+
+
 @pytest.mark.parametrize("inside_only", [False, True], ids=["nan", "nan_inside"])
 def test_tangency_search_failure_is_no_convergence(monkeypatch, inside_only):
     # NaN has no sign: at the bracket ends, or only at the secant's steps
     gw = 0.5
     k_hi = green_boundary(gw)
-    ends, true = (k_hi / 1e4, k_hi), phasediagram._tangency_residual
+    ends, true = _bracket_ends(gw), phasediagram._tangency_residual
 
-    def patched(gamma_w, k):
-        f, t = true(gamma_w, k)
-        nan = ~np.isin(k, ends) if inside_only else np.full(k.shape, True)
-        return np.where(nan, math.nan, f), np.where(nan, 20.0, t)
+    def patched(gamma_w, x0):
+        f, t, k = true(gamma_w, x0)
+        nan = ~np.isin(x0, ends) if inside_only else np.full(x0.shape, True)
+        return np.where(nan, math.nan, f), np.where(nan, 20.0, t), k
 
     monkeypatch.setattr(phasediagram, "_tangency_residual", patched)
     with pytest.raises(NoConvergence, match="tangency residual") as info:
@@ -294,12 +331,12 @@ def test_tangency_curve_nan_at_one_point_leaves_the_others(monkeypatch, inside_o
     gammas = 0.05 + 0.05 * np.arange(33)
     clean = tangency_curve(gammas)
     sick = float(gammas[9])
-    ends, true = (green_boundary(sick) / 1e4, green_boundary(sick)), phasediagram._tangency_residual
+    ends, true = _bracket_ends(sick), phasediagram._tangency_residual
 
-    def patched(gamma_w, k):
-        f, t = true(gamma_w, k)
-        nan = (gamma_w == sick) & ~(np.isin(k, ends) & inside_only)
-        return np.where(nan, math.nan, f), t
+    def patched(gamma_w, x0):
+        f, t, k = true(gamma_w, x0)
+        nan = (gamma_w == sick) & ~(np.isin(x0, ends) & inside_only)
+        return np.where(nan, math.nan, f), t, k
 
     monkeypatch.setattr(phasediagram, "_tangency_residual", patched)
     points = tangency_curve(gammas)
