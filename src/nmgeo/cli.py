@@ -1,9 +1,9 @@
 """Command-line interface and stable CSV/JSON serialization.
 
 Every subcommand writes one output file plus a JSON run manifest
-(<out>.manifest.json with parameters, library versions, seed and wall
-time; written even when the computation fails).  Exit codes: 0 success,
-1 computation error, 2 usage/configuration error.
+(<out>.manifest.json with the inputs the subcommand read, library versions
+and wall time; written even when the computation fails).  Exit codes:
+0 success, 1 computation error, 2 usage/configuration error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -39,12 +39,13 @@ from .phasediagram import (
     sweep,
     tangency_curve,
 )
-from .qsd import ensemble_density
+from .qsd import ensemble_density, resolve_workers
 
 # argparse, json and traceback are imported where the CLI parses, writes
 # and reports, so that importing nmgeo.cli loads none of them
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Callable
 
 SERIES_COLUMNS = [
     "t", "g", "gp", "Fz_re", "Fz_im", "beta_re", "beta_im",
@@ -199,6 +200,29 @@ def write_sweep_json(cells: list[PhaseCell], path: str) -> None:
 # configuration
 # ---------------------------------------------------------------------------
 
+# config key -> (argparse type, default, choices, help); key a_b is flag --a-b
+_FLAGS = {
+    "gamma_w": (float, 0.9, None, None),
+    "kappa": (float, 0.43, None, None),
+    "omega": (float, 1.0, None, "resonant frequency (sets omega = omega_c = Omega_w)"),
+    "Gamma_w": (float, 1.0, None, None),
+    "theta": (float, math.pi / 4.0, None, None),
+    "t_max": (float, 20.0, None, None),
+    "dt": (float, 0.01, None, None),
+    "convention": (None, "qfi", ("qfi", "bloch"), None),
+    "gamma_w_range": (None, None, None, "start:stop:step"),
+    "kappa_range": (None, None, None, "start:stop:step"),
+    "n_traj": (int, 20000, None, None),
+    "seed": (int, 1, None, None),
+    "workers": (int, None, None, None),
+    "out": (None, None, None, None),
+    "format": (None, "csv", ("csv", "json"), None),
+}
+# a manifest groups the model keys under "params" and the grid keys under "grid"
+_MODEL_KEYS = ("gamma_w", "kappa", "omega", "Gamma_w")
+_GRID_KEYS = ("t_max", "dt")
+_OUTPUT_KEYS = ("out", "format")
+
 # the JSON values a flag's argparse type accepts, and their name (None: a string flag)
 _JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", (int,)),
                None: ("a string", (str,))}
@@ -211,7 +235,6 @@ def load_config(path: str, subcommand: str | None = None) -> dict:
     or unknown); each value must have the JSON type of its flag's argparse
     type and lie in its choices.
     """
-    import argparse
     import json
 
     try:
@@ -224,21 +247,14 @@ def load_config(path: str, subcommand: str | None = None) -> dict:
         ) from exc
     if not isinstance(cfg, dict):
         raise ConfigParseError(f"{path}: top-level JSON value must be an object")
-    parser = _build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {
-        action.dest: action
-        for name in ([subcommand] if subcommand in subparsers.choices else subparsers.choices)
-        for action in subparsers.choices[name]._actions
-        if action.dest not in ("help", "config")
-    }
+    keys = _SUBCOMMANDS[subcommand].flags if subcommand in _SUBCOMMANDS else _FLAGS
     for key, value in cfg.items():
-        if key not in actions:
+        if key not in keys:
             raise UnknownConfigKey(f"{path}: unknown configuration key {key!r}")
-        kind, types = _JSON_TYPES[actions[key].type]
+        kind, _, choices, _ = _FLAGS[key]
+        name, types = _JSON_TYPES[kind]
         if isinstance(value, bool) or not isinstance(value, types):
-            raise ConfigError(f"{path}: {key} must be {kind}, got {value!r}")
-        choices = actions[key].choices
+            raise ConfigError(f"{path}: {key} must be {name}, got {value!r}")
         if choices is not None and value not in choices:
             raise ConfigError(f"{path}: {key} must be one of {', '.join(choices)}, got {value!r}")
     return cfg
@@ -265,48 +281,10 @@ def _parse_range(text: str, name: str) -> np.ndarray:
     return a + s * np.arange(n)
 
 
-@dataclass
-class RunConfig:
-    """Resolved inputs of one CLI invocation."""
-
-    subcommand: str
-    out: str
-    format: str = "csv"
-    gamma_w: float = 0.9
-    kappa: float = 0.43
-    omega: float = 1.0
-    Gamma_w: float = 1.0
-    theta: float = math.pi / 4.0
-    t_max: float = 20.0
-    dt: float = 0.01
-    convention: str = "qfi"
-    gamma_w_range: str | None = None
-    kappa_range: str | None = None
-    n_traj: int = 20000
-    seed: int = 1
-    workers: int | None = None
-    extras: dict = field(default_factory=dict)
-
-    def params(self) -> ModelParams:
-        return validate_params(
-            ModelParams(
-                kappa=self.kappa,
-                gamma_w=self.gamma_w,
-                omega=self.omega,
-                omega_c=self.omega,
-                Omega_w=self.omega,
-                Gamma_w=self.Gamma_w,
-            )
-        )
-
-    def grid(self) -> GridSpec:
-        return GridSpec.uniform(self.t_max, self.dt)
-
-
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use and shared by run and load_config
-    (parsing leaves it unchanged)."""
+    """The CLI's parser, built on first use and shared by every run (parsing
+    leaves it unchanged)."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -315,61 +293,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "non-Markovianity, QFI, QSD trajectories and the phase diagram.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp, theta=False):
-        sp.add_argument("--config", default=None, help="flat JSON config; CLI flags win")
-        sp.add_argument("--gamma-w", dest="gamma_w", type=float, default=None)
-        sp.add_argument("--kappa", type=float, default=None)
-        sp.add_argument("--omega", type=float, default=None,
-                        help="resonant frequency (sets omega = omega_c = Omega_w)")
-        sp.add_argument("--Gamma-w", dest="Gamma_w", type=float, default=None)
-        sp.add_argument("--t-max", dest="t_max", type=float, default=None)
-        sp.add_argument("--dt", type=float, default=None)
-        sp.add_argument("--out", default=None, required=False)
-        sp.add_argument("--format", choices=["csv", "json"], default=None)
-        if theta:
-            sp.add_argument("--theta", type=float, default=None)
-
-    common(sub.add_parser("gfun", help="g, g' time series"))
-    common(sub.add_parser("phase", help="complex geometric phase series"), theta=True)
-    common(sub.add_parser("dynamics", help="master-equation evolution and <sigma_i>"), theta=True)
-    common(sub.add_parser("nonmarkov", help="accumulated backflow N_t"))
-    qfi_p = sub.add_parser("qfi", help="quantum Fisher information series")
-    common(qfi_p, theta=True)
-    qfi_p.add_argument("--convention", choices=["qfi", "bloch"], default=None)
-    sweep_p = sub.add_parser("sweep", help="phase-diagram classification sweep")
-    common(sweep_p)
-    sweep_p.add_argument("--gamma-w-range", dest="gamma_w_range", default=None,
-                         help="start:stop:step")
-    sweep_p.add_argument("--kappa-range", dest="kappa_range", default=None,
-                         help="start:stop:step")
-    bnd_p = sub.add_parser("boundaries", help="analytic boundary curves")
-    common(bnd_p)
-    bnd_p.add_argument("--gamma-w-range", dest="gamma_w_range", default=None,
-                       help="start:stop:step")
-    common(sub.add_parser("markov-limit", help="memory-less-bath closed-form g"))
-    qsd_p = sub.add_parser("qsd", help="QSD Monte-Carlo ensemble vs master equation")
-    common(qsd_p, theta=True)
-    qsd_p.add_argument("--n-traj", dest="n_traj", type=int, default=None)
-    qsd_p.add_argument("--seed", type=int, default=None)
-    qsd_p.add_argument("--workers", type=int, default=None)
+    for name, spec in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help)
+        sp.add_argument("--config", help="flat JSON config; CLI flags win")
+        for key in spec.flags:
+            kind, _, choices, help_ = _FLAGS[key]
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                            choices=choices, help=help_)
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand, out="")
-    skip = ("config", "subcommand")
-    flags = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
-    file_values = load_config(args.config, args.subcommand) if args.config else {}
-    for key, value in {**file_values, **flags}.items():
-        setattr(cfg, key, value)
+def _resolve_config(cfg: argparse.Namespace) -> argparse.Namespace:
+    """The parsed flags, with the config file's values and the defaults filled
+    in, checked."""
+    flags = _SUBCOMMANDS[cfg.subcommand].flags
+    file_values = load_config(cfg.config, cfg.subcommand) if cfg.config else {}
+    for key in flags:
+        if getattr(cfg, key) is None:
+            setattr(cfg, key, file_values.get(key, _FLAGS[key][1]))
     if not cfg.out:
         raise ConfigError("--out is required (flag or config file)")
-    if not (0.0 < cfg.t_max < math.inf and 0.0 < cfg.dt < math.inf):
-        raise ConfigError(
-            f"need finite t_max > 0 and dt > 0, got t_max={cfg.t_max}, dt={cfg.dt}"
-        )
-    if not (0.0 <= cfg.theta <= math.pi):
+    grid = {key: getattr(cfg, key) for key in _GRID_KEYS if key in flags}
+    if not all(0.0 < value < math.inf for value in grid.values()):
+        got = ", ".join(f"{key}={value}" for key, value in grid.items())
+        raise ConfigError(f"need finite t_max > 0 and dt > 0, got {got}")
+    if "theta" in flags and not (0.0 <= cfg.theta <= math.pi):
         raise ConfigError(f"--theta must lie in [0, pi], got {cfg.theta}")
     if cfg.subcommand == "sweep":
         if not cfg.gamma_w_range or not cfg.kappa_range:
@@ -392,10 +340,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"t_max/dt + 1 = {cfg.t_max / cfg.dt + 1.0:.6g} samples exceeds {_MAX_SERIES_SAMPLES}"
         )
-    if cfg.subcommand == "qsd" and cfg.n_traj < 100:
-        raise ConfigError("qsd needs --n-traj >= 100")
-    if cfg.subcommand == "qsd" and cfg.seed < 0:
-        raise ConfigError(f"qsd needs --seed >= 0, got {cfg.seed}")
+    if cfg.subcommand == "qsd":
+        if cfg.n_traj < 100:
+            raise ConfigError("qsd needs --n-traj >= 100")
+        if cfg.seed < 0:
+            raise ConfigError(f"qsd needs --seed >= 0, got {cfg.seed}")
+        cfg.workers = resolve_workers(cfg.workers)  # the count that runs, for the manifest
     return cfg
 
 
@@ -403,18 +353,33 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 # subcommand handlers: return (series-or-cells, manifest extras)
 # ---------------------------------------------------------------------------
 
-def _run_gfun(cfg: RunConfig):
-    sol = solve_g(cfg.params())
-    grid = cfg.grid()
+def _params(cfg: argparse.Namespace) -> ModelParams:
+    return validate_params(
+        ModelParams(
+            kappa=cfg.kappa,
+            gamma_w=cfg.gamma_w,
+            omega=cfg.omega,
+            omega_c=cfg.omega,
+            Omega_w=cfg.omega,
+            Gamma_w=cfg.Gamma_w,
+        )
+    )
+
+
+def _grid(cfg: argparse.Namespace) -> GridSpec:
+    return GridSpec.uniform(cfg.t_max, cfg.dt)
+
+
+def _run_gfun(cfg: argparse.Namespace):
+    sol = solve_g(_params(cfg))
+    grid = _grid(cfg)
     g, gp, _ = sol.eval(grid.times())
     series = TimeSeries(grid, {"g": g, "gp": gp})
     return series, {"method": sol.method, "confluent": sol.confluent}
 
 
-def _run_phase(cfg: RunConfig):
-    p = cfg.params()
-    grid = cfg.grid()
-    ps = geometric_phase(p, cfg.theta, grid)
+def _run_phase(cfg: argparse.Namespace):
+    ps = geometric_phase(_params(cfg), cfg.theta, _grid(cfg))
     extras = {
         "divergence_times": ps.divergence_times,
         "eta_windings": ps.eta_windings,
@@ -423,9 +388,9 @@ def _run_phase(cfg: RunConfig):
     return ps.series, extras
 
 
-def _run_dynamics(cfg: RunConfig):
-    p = cfg.params()
-    grid = cfg.grid()
+def _run_dynamics(cfg: argparse.Namespace):
+    p = _params(cfg)
+    grid = _grid(cfg)
     sol = solve_g(p)
     rho0 = PureState2.from_bloch_angle(cfg.theta).density_matrix()
     rho = evolve_master_equation(p, rho0, grid, gsol=sol)
@@ -443,8 +408,8 @@ def _run_dynamics(cfg: RunConfig):
     return series, {"method": sol.method, "confluent": sol.confluent}
 
 
-def _run_nonmarkov(cfg: RunConfig):
-    p = cfg.params()
+def _run_nonmarkov(cfg: argparse.Namespace):
+    p = _params(cfg)
     sol = solve_g(p)
     report = non_markovianity(p, cfg.t_max, cfg.dt, gsol=sol)
     grid = report.series.grid
@@ -454,17 +419,16 @@ def _run_nonmarkov(cfg: RunConfig):
     return series, extras
 
 
-def _run_qfi(cfg: RunConfig):
-    p = cfg.params()
-    grid = cfg.grid()
+def _run_qfi(cfg: argparse.Namespace):
+    p = _params(cfg)
+    grid = _grid(cfg)
     sol = solve_g(p)
     qfi = qfi_series(p, cfg.theta, grid, cfg.convention, gsol=sol)
     fz = f_z_from_g(sol, grid).series["F_z"]
-    series = TimeSeries(grid, {"qfi": qfi, "F_z": fz})
-    return series, {"convention": cfg.convention}
+    return TimeSeries(grid, {"qfi": qfi, "F_z": fz}), {}
 
 
-def _run_sweep(cfg: RunConfig):
+def _run_sweep(cfg: argparse.Namespace):
     gammas = _parse_range(cfg.gamma_w_range, "--gamma-w-range")
     kappas = _parse_range(cfg.kappa_range, "--kappa-range")
     cells = sweep(gammas, kappas, cfg.t_max)
@@ -477,7 +441,7 @@ def _run_sweep(cfg: RunConfig):
     return cells, extras
 
 
-def _run_boundaries(cfg: RunConfig):
+def _run_boundaries(cfg: argparse.Namespace):
     gammas = [float(gw) for gw in _parse_range(cfg.gamma_w_range, "--gamma-w-range")]
     curve = tangency_curve([gw for gw in gammas if 0.0 < gw < GREEN_BLUE_JOIN])
     tangency = {point.gamma_w: point for point in curve}
@@ -503,11 +467,8 @@ def _run_boundaries(cfg: RunConfig):
     return rows, extras
 
 
-def _write_boundaries(rows, cfg: RunConfig):
-    if cfg.format == "json":
-        _write_json(rows, cfg.out)
-        return
-    with open(cfg.out, "w", newline="") as fh:
+def _write_boundaries_csv(rows, path: str) -> None:
+    with open(path, "w", newline="") as fh:
         fh.write("gamma_w,kappa_green,kappa_blue,kappa_tangency\n")
         for row in rows:
             fields = [_fmt(row["gamma_w"])]
@@ -516,35 +477,28 @@ def _write_boundaries(rows, cfg: RunConfig):
             fh.write(",".join(fields) + "\n")
 
 
-def _run_markov_limit(cfg: RunConfig):
-    grid = cfg.grid()
-    ts = grid.times()
-    p = ModelParams(kappa=cfg.kappa, gamma_w=math.inf, Gamma_w=cfg.Gamma_w)
-    sol = solve_g(p)
-    g, gp, _ = sol.eval(ts)
+def _run_markov_limit(cfg: argparse.Namespace):
+    grid = _grid(cfg)
+    sol = solve_g(ModelParams(kappa=cfg.kappa, gamma_w=math.inf, Gamma_w=cfg.Gamma_w))
+    g, gp, _ = sol.eval(grid.times())
     series = TimeSeries(grid, {"g": g, "gp": gp, "D": np.abs(g)})
     extras = {"confluent": sol.confluent, "root_times": find_g_roots(sol, cfg.t_max)}
     return series, extras
 
 
-def _run_qsd(cfg: RunConfig):
-    p = cfg.params()
-    grid = cfg.grid()
+def _run_qsd(cfg: argparse.Namespace):
+    p = _params(cfg)
+    grid = _grid(cfg)
     sol = solve_g(p)
     result = ensemble_density(p, cfg.theta, grid, cfg.n_traj, cfg.seed,
                               workers=cfg.workers, gsol=sol)
     rho0 = PureState2.from_bloch_angle(cfg.theta).density_matrix()
     ref = evolve_master_equation(p, rho0, grid, gsol=sol)
-    dev = max(
-        float(np.max(np.abs(result.series["rho_ee"] - ref["rho_ee"]))),
-        float(np.max(np.abs(result.series["rho_eg"] - ref["rho_eg"]))),
-        float(np.max(np.abs(result.series["rho_gg"] - ref["rho_gg"]))),
-    )
+    dev = max(float(np.max(np.abs(result.series[key] - ref[key])))
+              for key in ("rho_ee", "rho_eg", "rho_gg"))
     sig = expectations_sigma(result.series)
     series = TimeSeries(grid, {"sx": sig["sx"], "sy": sig["sy"], "sz": sig["sz"]})
     extras = {
-        "n_traj": result.n_traj,
-        "seed": result.base_seed,
         "max_deviation_from_master_equation": dev,
         "deviation_band_5_over_sqrt_n": 5.0 / math.sqrt(cfg.n_traj),
         "mean_final_norm_sq": result.mean_final_norm_sq,
@@ -553,34 +507,50 @@ def _run_qsd(cfg: RunConfig):
     return series, extras
 
 
-_HANDLERS = {
-    "gfun": _run_gfun,
-    "phase": _run_phase,
-    "dynamics": _run_dynamics,
-    "nonmarkov": _run_nonmarkov,
-    "qfi": _run_qfi,
-    "sweep": _run_sweep,
-    "boundaries": _run_boundaries,
-    "markov-limit": _run_markov_limit,
-    "qsd": _run_qsd,
+@dataclass(frozen=True)
+class _Subcommand:
+    """One subcommand: the config keys it reads (its flags, which its manifest
+    records), its handler and its writers (result, path)."""
+
+    help: str
+    flags: tuple[str, ...]
+    handler: Callable
+    write_csv: Callable = write_series_csv
+    write_json: Callable = write_series_json
+
+
+_SERIES = _MODEL_KEYS + _GRID_KEYS + _OUTPUT_KEYS
+_SUBCOMMANDS = {
+    "gfun": _Subcommand("g, g' time series", _SERIES, _run_gfun),
+    "phase": _Subcommand("complex geometric phase series", ("theta",) + _SERIES, _run_phase),
+    "dynamics": _Subcommand("master-equation evolution and <sigma_i>", ("theta",) + _SERIES,
+                            _run_dynamics),
+    "nonmarkov": _Subcommand("accumulated backflow N_t", _SERIES, _run_nonmarkov),
+    "qfi": _Subcommand("quantum Fisher information series", ("theta", "convention") + _SERIES,
+                       _run_qfi),
+    "sweep": _Subcommand("phase-diagram classification sweep",
+                         ("gamma_w_range", "kappa_range", "t_max") + _OUTPUT_KEYS, _run_sweep,
+                         write_sweep_csv, write_sweep_json),
+    "boundaries": _Subcommand("analytic boundary curves", ("gamma_w_range",) + _OUTPUT_KEYS,
+                              _run_boundaries, _write_boundaries_csv, _write_json),
+    "markov-limit": _Subcommand("memory-less-bath closed-form g",
+                                ("kappa", "Gamma_w") + _GRID_KEYS + _OUTPUT_KEYS,
+                                _run_markov_limit),
+    "qsd": _Subcommand("QSD Monte-Carlo ensemble vs master equation",
+                       ("theta", "n_traj", "seed", "workers") + _SERIES, _run_qsd),
 }
 
 
-def _manifest(cfg: RunConfig, status: str, wall: float, extras: dict, error: str | None):
+def _manifest(cfg: argparse.Namespace, status: str, wall: float, extras: dict,
+              error: str | None):
+    recorded: dict = {"params": {}, "grid": {}}
+    for key in _SUBCOMMANDS[cfg.subcommand].flags:
+        group = (recorded["params"] if key in _MODEL_KEYS
+                 else recorded["grid"] if key in _GRID_KEYS else recorded)
+        group["output" if key == "out" else key] = getattr(cfg, key)
     return {
         "subcommand": cfg.subcommand,
-        "params": {
-            "gamma_w": cfg.gamma_w,
-            "kappa": cfg.kappa,
-            "omega": cfg.omega,
-            "Gamma_w": cfg.Gamma_w,
-        },
-        "theta": cfg.theta,
-        "grid": {"t_max": cfg.t_max, "dt": cfg.dt},
-        "seed": cfg.seed,
-        "n_traj": cfg.n_traj if cfg.subcommand == "qsd" else None,
-        "output": cfg.out,
-        "format": cfg.format,
+        **{key: value for key, value in recorded.items() if value != {}},
         "versions": {
             "nmgeo": __version__,
             "numpy": np.__version__,
@@ -607,21 +577,11 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"nmgeo: configuration error: {exc}", file=sys.stderr)
         return 2
+    spec = _SUBCOMMANDS[cfg.subcommand]
     extras: dict = {}
     try:
-        result, extras = _HANDLERS[cfg.subcommand](cfg)
-        if cfg.subcommand == "sweep":
-            if cfg.format == "json":
-                write_sweep_json(result, cfg.out)
-            else:
-                write_sweep_csv(result, cfg.out)
-        elif cfg.subcommand == "boundaries":
-            _write_boundaries(result, cfg)
-        else:
-            if cfg.format == "json":
-                write_series_json(result, cfg.out)
-            else:
-                write_series_csv(result, cfg.out)
+        result, extras = spec.handler(cfg)
+        (spec.write_json if cfg.format == "json" else spec.write_csv)(result, cfg.out)
     except ConfigError as exc:
         print(f"nmgeo: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -643,7 +603,7 @@ def run(argv=None) -> int:
     return 0
 
 
-def _write_manifest_file(cfg: RunConfig, manifest: dict):
+def _write_manifest_file(cfg: argparse.Namespace, manifest: dict):
     import json
 
     try:
@@ -659,8 +619,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

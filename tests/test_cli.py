@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -201,6 +202,16 @@ def test_load_config_rejects_unknown_key(tmp_path):
     assert "kapa" in str(err.value)
 
 
+def test_load_config_rejects_a_key_the_subcommand_does_not_read(tmp_path):
+    # the sweep never reads Gamma_w: a value for it would be recorded, not used
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"Gamma_w": 2}')
+    with pytest.raises(UnknownConfigKey) as err:
+        load_config(str(cfg_path), "sweep")
+    assert "'Gamma_w'" in str(err.value)
+    assert load_config(str(cfg_path), "gfun") == {"Gamma_w": 2}
+
+
 def test_cli_flag_overrides_config(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text('{"gamma_w": 0.9, "kappa": 0.1, "t_max": 2.0, "dt": 0.1}')
@@ -324,6 +335,79 @@ def test_non_finite_t_max_and_dt_exit_2(tmp_path, capsys, argv):
     assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
 
 
+ONE_CELL = ["--gamma-w-range", "0.9:0.9:0.1", "--kappa-range", "0.43:0.43:0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", *ONE_CELL, "--Gamma-w", "2"],
+        ["sweep", *ONE_CELL, "--dt", "0.1"],
+        ["boundaries", "--t-max", "1"],
+        ["markov-limit", "--kappa", "0.5", "--gamma-w", "0.3"],
+    ],
+    ids=["sweep-Gamma-w", "sweep-dt", "boundaries-t-max", "markov-limit-gamma-w"],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
+    # the sweep wrote the Gamma_w = 1 cells and recorded Gamma_w = 2
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
+
+
+class _Reads:
+    """cfg, recording the names of the attributes read from it."""
+
+    def __init__(self, cfg):
+        self.cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+SERIES_ARGS = ["--gamma-w", "0.9", "--kappa", "0.43", "--t-max", "1", "--dt", "0.1"]
+EVERY_SUBCOMMAND = {
+    "gfun": SERIES_ARGS,
+    "phase": SERIES_ARGS,
+    "dynamics": SERIES_ARGS,
+    "nonmarkov": SERIES_ARGS,
+    "qfi": SERIES_ARGS,
+    "sweep": [*ONE_CELL, "--t-max", "20"],
+    "boundaries": ["--gamma-w-range", "0.5:1.0:0.5"],
+    "markov-limit": ["--kappa", "0.5", "--t-max", "1", "--dt", "0.1"],
+    "qsd": [*SERIES_ARGS, "--n-traj", "100"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(EVERY_SUBCOMMAND))
+def test_handler_reads_every_flag_of_its_subcommand(tmp_path, monkeypatch, subcommand):
+    # a flag the handler ignores would be accepted and recorded, and change nothing
+    assert set(EVERY_SUBCOMMAND) == set(cli._SUBCOMMANDS)
+    spec = cli._SUBCOMMANDS[subcommand]
+    reads = []
+
+    def recording(cfg):
+        reads.append(_Reads(cfg))
+        return spec.handler(reads[-1])
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, subcommand, dataclasses.replace(spec, handler=recording))
+    assert run([subcommand, *EVERY_SUBCOMMAND[subcommand], "--out", str(tmp_path / "o")]) == 0
+    assert reads[0].read == set(spec.flags) - {"out", "format"}
+
+
+def test_sweep_manifest_records_only_what_the_sweep_read(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["sweep", *ONE_CELL, "--t-max", "50", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert manifest["grid"] == {"t_max": 50.0}
+    assert manifest["gamma_w_range"] == "0.9:0.9:0.1"
+    assert manifest["output"] == str(out) and "out" not in manifest
+    for key in ("params", "theta", "seed", "n_traj", "gamma_w", "kappa", "omega", "Gamma_w"):
+        assert key not in manifest, key
+
+
 def test_computation_error_exits_1_and_writes_manifest(tmp_path):
     out = tmp_path / "g.csv"
     code = run([
@@ -340,7 +424,8 @@ def test_unexpected_error_exits_1_and_writes_manifest(tmp_path, monkeypatch, cap
     def broken(cfg):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setitem(cli._HANDLERS, "gfun", broken)
+    monkeypatch.setitem(cli._SUBCOMMANDS, "gfun",
+                        dataclasses.replace(cli._SUBCOMMANDS["gfun"], handler=broken))
     out = tmp_path / "g.csv"
     code = run(["gfun", "--t-max", "5", "--dt", "0.1", "--out", str(out)])
     assert code == 1
@@ -389,6 +474,16 @@ def test_qsd_byte_identical_and_within_band(tmp_path):
     manifest = json.loads((tmp_path / "q1.csv.manifest.json").read_text())
     assert manifest["max_deviation_from_master_equation"] <= manifest["deviation_band_5_over_sqrt_n"]
     assert manifest["seed"] == 7 and manifest["n_traj"] == 500
+    assert manifest["workers"] == 1
+    assert json.loads((tmp_path / "q2.csv.manifest.json").read_text())["workers"] == 3
+
+
+def test_qsd_manifest_records_the_worker_count_that_ran(tmp_path, monkeypatch):
+    monkeypatch.setenv("NMGEO_THREADS", "2")
+    out = tmp_path / "q.csv"
+    args = ["qsd", "--t-max", "0.1", "--n-traj", "100", "--out", str(out)]
+    assert run(args) == 0
+    assert json.loads((tmp_path / "q.csv.manifest.json").read_text())["workers"] == 2
 
 
 def test_qsd_negative_seed_exit_2(tmp_path, capsys):
@@ -641,8 +736,7 @@ def test_json_writers_match_json_dump(tmp_path):
 
     rows = [{"gamma_w": 0.05, "green": -0.0, "blue": None, "tangency": math.nan,
              "tangency_error": "tangency residual nan at green/1e4"}]
-    cfg = cli.RunConfig(subcommand="boundaries", out=str(tmp_path / "b.json"), format="json")
-    cli._write_boundaries(rows, cfg)
+    cli._SUBCOMMANDS["boundaries"].write_json(rows, str(tmp_path / "b.json"))
     assert (tmp_path / "b.json").read_bytes() == _json_dump_bytes(rows, tmp_path / "b.ref")
 
 

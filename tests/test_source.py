@@ -142,6 +142,21 @@ def test_cli_import_loads_no_argparse_json_or_traceback():
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_load_config_loads_no_argparse(tmp_path):
+    # config files are checked against the CLI's flag table, not its parser
+    src = str(Path(nmgeo.__file__).resolve().parents[1])
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"gamma_w": 0.9, "format": "json"}')
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import nmgeo.cli; "
+        "print(nmgeo.cli.load_config(sys.argv[2], 'gfun'), 'argparse' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, src, str(cfg)], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "{'gamma_w': 0.9, 'format': 'json'} False"
+
+
 SCAN_INTERNALS = {"_ModalCells", "_scan", "_scan_plan", "_scan_steps", "_MAX_SCAN_STEPS", "_grid_too_large"}
 
 
